@@ -202,7 +202,6 @@ BM_XorshiftLanes(benchmark::State &state, util::SimdLevel level)
     util::setSimdLevel(util::detectedSimdLevel());
 }
 BENCHMARK_CAPTURE(BM_XorshiftLanes, scalar, util::SimdLevel::Scalar);
-BENCHMARK_CAPTURE(BM_XorshiftLanes, sse2, util::SimdLevel::Sse2);
 BENCHMARK_CAPTURE(BM_XorshiftLanes, avx2, util::SimdLevel::Avx2);
 
 /** EvalPlan::evaluateBatch over 100k samples (validation included)
@@ -240,12 +239,11 @@ BM_EvalBatchSimd(benchmark::State &state, util::SimdLevel level)
     util::setSimdLevel(util::detectedSimdLevel());
 }
 BENCHMARK_CAPTURE(BM_EvalBatchSimd, scalar, util::SimdLevel::Scalar);
-BENCHMARK_CAPTURE(BM_EvalBatchSimd, sse2, util::SimdLevel::Sse2);
 BENCHMARK_CAPTURE(BM_EvalBatchSimd, avx2, util::SimdLevel::Avx2);
 
 /** BM_MonteCarloBatch's sweep pinned to a dispatch level: the
- *  scalar/sse2/avx2 spread is the SIMD speedup on this host, with
- *  results bit-identical across the three by contract. */
+ *  scalar/avx2 spread is the SIMD speedup on this host, with
+ *  results bit-identical across the two by contract. */
 void
 BM_MonteCarloBatchSimd(benchmark::State &state, util::SimdLevel level)
 {
@@ -270,8 +268,6 @@ BM_MonteCarloBatchSimd(benchmark::State &state, util::SimdLevel level)
 }
 BENCHMARK_CAPTURE(BM_MonteCarloBatchSimd, scalar,
                   util::SimdLevel::Scalar)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_MonteCarloBatchSimd, sse2, util::SimdLevel::Sse2)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_MonteCarloBatchSimd, avx2, util::SimdLevel::Avx2)
     ->Unit(benchmark::kMillisecond);
@@ -394,8 +390,8 @@ BM_FleetReplay(benchmark::State &state)
 BENCHMARK(BM_FleetReplay)->Unit(benchmark::kMillisecond);
 
 /** The same replay pinned to one dispatch level, so the perf gate
- *  can track the scalar and SSE2 tiers independently of the host's
- *  best level. */
+ *  can track the scalar tier independently of the host's best
+ *  level. */
 void
 BM_FleetReplaySimd(benchmark::State &state, util::SimdLevel level)
 {
@@ -413,8 +409,6 @@ BM_FleetReplaySimd(benchmark::State &state, util::SimdLevel level)
     util::setSimdLevel(util::detectedSimdLevel());
 }
 BENCHMARK_CAPTURE(BM_FleetReplaySimd, scalar, util::SimdLevel::Scalar)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_FleetReplaySimd, sse2, util::SimdLevel::Sse2)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_FleetReplaySimd, avx2, util::SimdLevel::Avx2)
     ->Unit(benchmark::kMillisecond);

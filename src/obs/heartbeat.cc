@@ -236,6 +236,9 @@ loadHeartbeatDirectory(const std::string &directory)
         } catch (const config::JsonParseError &parse_error) {
             util::warn("skipping unparseable heartbeat file '", path,
                        "': ", parse_error.what());
+        } catch (const config::JsonTypeError &type_error) {
+            util::warn("skipping unparseable heartbeat file '", path,
+                       "': ", type_error.what());
         }
     }
     return heartbeats;

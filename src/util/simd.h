@@ -1,10 +1,11 @@
 /**
  * @file
  * Runtime SIMD dispatch for the batch kernels: a small portable
- * abstraction over the vector widths the hot loops use (4-lane AVX2,
- * a 2-lane SSE2/NEON tier, and a scalar fallback), selected once per
- * process from CPU features with an `ACT_SIMD=scalar|sse2|avx2|auto`
- * environment override (parsed through util/env).
+ * abstraction over the vector widths the hot loops use (4-lane AVX2
+ * and a scalar fallback, which is also what non-x86 hosts run),
+ * selected once per process from CPU features with an
+ * `ACT_SIMD=scalar|avx2|auto` environment override (parsed through
+ * util/env).
  *
  * The dispatch level NEVER changes results. Every vector kernel
  * computes the scalar kernel's arithmetic expression for expression --
@@ -20,18 +21,16 @@
 namespace act::util {
 
 /**
- * Vector-width tiers for the batch kernels. `Sse2` names the 2-lane
- * tier: SSE2 on x86-64 (always present there), NEON on aarch64. The
- * enumerator order is the preference order -- higher is wider.
+ * Vector-width tiers for the batch kernels. The enumerator order is
+ * the preference order -- higher is wider.
  */
 enum class SimdLevel
 {
     Scalar = 0,
-    Sse2 = 1,
-    Avx2 = 2,
+    Avx2 = 1,
 };
 
-/** Display name: "scalar", "sse2", or "avx2". */
+/** Display name: "scalar" or "avx2". */
 const char *simdLevelName(SimdLevel level);
 
 /** True when kernels for @p level are compiled into this binary and
@@ -42,8 +41,8 @@ bool simdLevelAvailable(SimdLevel level);
 SimdLevel detectedSimdLevel();
 
 /**
- * Map an ACT_SIMD-style name to a level: "scalar", "sse2", "avx2", or
- * "auto" (the detected level). Unrecognized names warn once and fall
+ * Map an ACT_SIMD-style name to a level: "scalar", "avx2", or "auto"
+ * (the detected level). Unrecognized names warn once and fall
  * back to the detected level. The result is NOT clamped to what the
  * host supports; pair with setSimdLevel() or simdLevelAvailable().
  */

@@ -201,10 +201,6 @@ std::uint64_t xorshiftJump(std::uint64_t state, std::uint64_t steps);
 /** The scalar reference kernels (always available). */
 const KernelTable &scalarKernels();
 
-/** The 2-lane tier (SSE2 on x86-64, NEON on aarch64); null when this
- *  architecture has no 2-lane backend. */
-const KernelTable *sse2Kernels();
-
 /** The 4-lane AVX2 tier; null when not compiled in. Only safe to call
  *  through when the CPU reports AVX2 (see simdLevelAvailable()). */
 const KernelTable *avx2Kernels();

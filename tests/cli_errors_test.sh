@@ -44,16 +44,27 @@ sed 's/"items": 3000/"items": 1e300/' "$work/plan.json" \
     > "$work/huge_plan.json"
 
 export ACT_HEARTBEAT=0
-if ! "$act" sweep --plan "$work/plan.json" --shards 3 --shard-index 0 \
-    --out "$work/part0.json" > /dev/null; then
-    echo "FAIL setup: cannot write a partial"
-    exit 1
-fi
+for i in 0 1 2; do
+    if ! "$act" sweep --plan "$work/plan.json" --shards 3 \
+        --shard-index $i --out "$work/part$i.json" > /dev/null; then
+        echo "FAIL setup: cannot write partial $i"
+        exit 1
+    fi
+done
 head -c 200 "$work/part0.json" > "$work/truncated.json"
 sed 's/"chunks": *\[/"chunks": 1, "unused": [/' "$work/part0.json" \
     > "$work/chunks_not_array.json"
 sed 's/"chunk_begin": *[0-9]*,//' "$work/part0.json" \
     > "$work/no_chunk_begin.json"
+# Shard 1 holds one chunk; replace that chunk's payload object with 5.
+awk '
+    state == 1 { match($0, /^ */); indent = substr($0, 1, RLENGTH)
+                 state = 2; next }
+    state == 2 { if ($0 == indent "}" || $0 == indent "},") {
+                     sub(/}/, "5"); print; state = 3 }
+                 next }
+    state == 0 && /"chunks": \[$/ { state = 1 }
+    { print }' "$work/part1.json" > "$work/chunk_not_object.json"
 
 expect_fatal "cpa with a non-number" "$act" cpa abc
 expect_fatal "cpa with an overflowing number" "$act" cpa 1e309
@@ -64,6 +75,9 @@ expect_fatal "merge of a partial whose chunks is not an array" \
     "$act" merge "$work/chunks_not_array.json"
 expect_fatal "merge of a partial without chunk_begin" \
     "$act" merge "$work/no_chunk_begin.json"
+expect_fatal "merge of a partial whose chunk payload has the wrong shape" \
+    "$act" merge "$work/part0.json" "$work/chunk_not_object.json" \
+    "$work/part2.json"
 expect_fatal "sweep writing to a full device" \
     "$act" sweep --plan "$work/plan.json" --shards 3 --shard-index 0 \
     --out /dev/full

@@ -1,33 +1,35 @@
 /**
  * @file
- * Tests for diurnal carbon-intensity profiles and carbon-aware
+ * Tests for one-day carbon-intensity series and carbon-aware
  * scheduling.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/scheduling.h"
+#include "data/carbon_intensity_db.h"
 
 namespace act::core {
 namespace {
 
-using data::DiurnalProfile;
+using data::IntensitySeries;
 using util::gramsPerKilowattHour;
 
 TEST(Profiles, FlatProfileIsConstant)
 {
-    const auto profile = DiurnalProfile::flat(gramsPerKilowattHour(300));
-    for (std::size_t h = 0; h < DiurnalProfile::kHours; ++h)
-        EXPECT_DOUBLE_EQ(profile.at(h).value(), 300.0);
-    EXPECT_DOUBLE_EQ(profile.dailyAverage().value(), 300.0);
+    const auto day = IntensitySeries::flat(gramsPerKilowattHour(300));
+    ASSERT_EQ(day.size(), 24u);
+    for (std::size_t h = 0; h < day.size(); ++h)
+        EXPECT_DOUBLE_EQ(day.gramsAt(h), 300.0);
+    EXPECT_DOUBLE_EQ(day.average().value(), 300.0);
 }
 
 TEST(Profiles, SolarProfileAveragesToBlend)
 {
     const auto base = gramsPerKilowattHour(583.0);
     for (double share : {0.0, 0.1, 0.25, 0.4}) {
-        const auto profile = DiurnalProfile::solarGrid(base, share);
-        EXPECT_NEAR(profile.dailyAverage().value(),
+        const auto day = IntensitySeries::solarDay(base, share);
+        EXPECT_NEAR(day.average().value(),
                     data::renewableBlend(base, share).value(), 0.5)
             << share;
     }
@@ -36,43 +38,42 @@ TEST(Profiles, SolarProfileAveragesToBlend)
 TEST(Profiles, WindProfileAveragesToBlend)
 {
     const auto base = gramsPerKilowattHour(400.0);
-    const auto profile = DiurnalProfile::windGrid(base, 0.3);
+    const auto day = IntensitySeries::windDay(base, 0.3);
     const double expected =
         0.7 * 400.0 +
         0.3 * data::sourceIntensity(data::EnergySource::Wind).value();
-    EXPECT_NEAR(profile.dailyAverage().value(), expected, 0.5);
+    EXPECT_NEAR(day.average().value(), expected, 0.5);
 }
 
 TEST(Profiles, SolarDipsMidday)
 {
-    const auto profile = DiurnalProfile::solarGrid(
-        gramsPerKilowattHour(583.0), 0.25);
-    EXPECT_LT(profile.at(12).value(), profile.at(0).value());
-    EXPECT_LT(profile.at(12).value(), profile.at(22).value());
+    const auto day =
+        IntensitySeries::solarDay(gramsPerKilowattHour(583.0), 0.25);
+    EXPECT_LT(day.gramsAt(12), day.gramsAt(0));
+    EXPECT_LT(day.gramsAt(12), day.gramsAt(22));
     // Night hours carry no solar at all.
-    EXPECT_DOUBLE_EQ(profile.at(0).value(), 583.0);
-    EXPECT_DOUBLE_EQ(profile.at(23).value(), 583.0);
+    EXPECT_DOUBLE_EQ(day.gramsAt(0), 583.0);
+    EXPECT_DOUBLE_EQ(day.gramsAt(23), 583.0);
 }
 
 TEST(Profiles, HoursByIntensitySortsGreenestFirst)
 {
-    const auto profile = DiurnalProfile::solarGrid(
-        gramsPerKilowattHour(583.0), 0.25);
-    const auto order = profile.hoursByIntensity();
-    for (std::size_t i = 1; i < order.size(); ++i) {
-        EXPECT_LE(profile.at(order[i - 1]).value(),
-                  profile.at(order[i]).value());
-    }
+    const auto day =
+        IntensitySeries::solarDay(gramsPerKilowattHour(583.0), 0.25);
+    const auto order = day.samplesByIntensity();
+    ASSERT_EQ(order.size(), 24u);
+    for (std::size_t i = 1; i < order.size(); ++i)
+        EXPECT_LE(day.gramsAt(order[i - 1]), day.gramsAt(order[i]));
     // The greenest hour is midday.
     EXPECT_EQ(order.front(), 12u);
 }
 
 TEST(Profiles, OutOfRangeSharesAreFatal)
 {
-    EXPECT_EXIT(DiurnalProfile::solarGrid(gramsPerKilowattHour(583.0),
+    EXPECT_EXIT(IntensitySeries::solarDay(gramsPerKilowattHour(583.0),
                                           0.6),
                 ::testing::ExitedWithCode(1), "");
-    EXPECT_EXIT(DiurnalProfile::windGrid(gramsPerKilowattHour(583.0),
+    EXPECT_EXIT(IntensitySeries::windDay(gramsPerKilowattHour(583.0),
                                          -0.1),
                 ::testing::ExitedWithCode(1), "");
 }
@@ -87,10 +88,22 @@ referenceLoad()
     return load;
 }
 
+/** Deferrable-tier OPCF of the uniform schedule over the greedy one. */
+double
+greedySaving(const DailyLoad &load, const IntensitySeries &day)
+{
+    const auto uniform = schedule(load, day, policyByName("uniform"));
+    const auto greedy = schedule(load, day, policyByName("greedy"));
+    return util::asGrams(uniform.deferrable_footprint) /
+           util::asGrams(greedy.deferrable_footprint);
+}
+
 TEST(Scheduling, UniformSpreadsEvenly)
 {
-    const auto profile = DiurnalProfile::flat(gramsPerKilowattHour(300));
-    const auto result = scheduleUniform(referenceLoad(), profile);
+    const auto day = IntensitySeries::flat(gramsPerKilowattHour(300));
+    const auto result =
+        schedule(referenceLoad(), day, policyByName("uniform"));
+    ASSERT_EQ(result.placement.size(), 24u);
     for (const auto &energy : result.placement) {
         EXPECT_NEAR(util::asKilowattHours(energy), 2.0 / 24.0, 1e-12);
     }
@@ -101,15 +114,16 @@ TEST(Scheduling, UniformSpreadsEvenly)
 
 TEST(Scheduling, FlatProfileOffersNoSaving)
 {
-    const auto profile = DiurnalProfile::flat(gramsPerKilowattHour(300));
-    EXPECT_NEAR(carbonAwareSaving(referenceLoad(), profile), 1.0, 1e-9);
+    const auto day = IntensitySeries::flat(gramsPerKilowattHour(300));
+    EXPECT_NEAR(greedySaving(referenceLoad(), day), 1.0, 1e-9);
 }
 
 TEST(Scheduling, CarbonAwarePlacesEnergyInGreenHours)
 {
-    const auto profile = DiurnalProfile::solarGrid(
-        gramsPerKilowattHour(583.0), 0.25);
-    const auto result = scheduleCarbonAware(referenceLoad(), profile);
+    const auto day =
+        IntensitySeries::solarDay(gramsPerKilowattHour(583.0), 0.25);
+    const auto result =
+        schedule(referenceLoad(), day, policyByName("greedy"));
 
     // All deferrable energy lands somewhere.
     util::Energy placed{};
@@ -123,7 +137,8 @@ TEST(Scheduling, CarbonAwarePlacesEnergyInGreenHours)
     EXPECT_DOUBLE_EQ(util::asKilowattHours(result.placement[0]), 0.0);
 
     // And it beats the uniform schedule.
-    const auto uniform = scheduleUniform(referenceLoad(), profile);
+    const auto uniform =
+        schedule(referenceLoad(), day, policyByName("uniform"));
     EXPECT_LT(util::asGrams(result.deferrable_footprint),
               util::asGrams(uniform.deferrable_footprint));
     EXPECT_DOUBLE_EQ(util::asGrams(result.baseline_footprint),
@@ -135,8 +150,8 @@ TEST(Scheduling, SavingGrowsWithRenewableShare)
     const auto base = gramsPerKilowattHour(583.0);
     double prev = 1.0;
     for (double share : {0.1, 0.2, 0.3, 0.4}) {
-        const double saving = carbonAwareSaving(
-            referenceLoad(), DiurnalProfile::solarGrid(base, share));
+        const double saving = greedySaving(
+            referenceLoad(), IntensitySeries::solarDay(base, share));
         EXPECT_GT(saving, prev) << share;
         prev = saving;
     }
@@ -147,8 +162,8 @@ TEST(Scheduling, CapacityConstraintEnforced)
     DailyLoad load = referenceLoad();
     load.deferrable_energy = util::kilowattHours(20.0);
     load.deferrable_capacity = util::watts(500.0);  // max 12 kWh/day
-    const auto profile = DiurnalProfile::flat(gramsPerKilowattHour(300));
-    EXPECT_EXIT(scheduleCarbonAware(load, profile),
+    const auto day = IntensitySeries::flat(gramsPerKilowattHour(300));
+    EXPECT_EXIT(schedule(load, day, policyByName("greedy")),
                 ::testing::ExitedWithCode(1), "");
 }
 
@@ -159,14 +174,14 @@ TEST(Scheduling, TightCapacityLimitsTheSaving)
     DailyLoad load = referenceLoad();
     load.deferrable_capacity =
         util::watts(1000.0 * 2.0 / 24.0);  // 2 kWh over 24 h exactly
-    const auto profile = DiurnalProfile::solarGrid(
-        gramsPerKilowattHour(583.0), 0.25);
-    EXPECT_NEAR(carbonAwareSaving(load, profile), 1.0, 1e-9);
+    const auto day =
+        IntensitySeries::solarDay(gramsPerKilowattHour(583.0), 0.25);
+    EXPECT_NEAR(greedySaving(load, day), 1.0, 1e-9);
 }
 
 // ---------------------------------------------------------------------
-// Policy API: the legacy 24-hour entry points are wrappers over
-// schedule(), and the new policies behave sanely.
+// Policy API: names, deadline windows, cross-region migration, and
+// multi-day series.
 // ---------------------------------------------------------------------
 
 TEST(Policies, NamesRoundTrip)
@@ -180,31 +195,6 @@ TEST(Policies, NamesRoundTrip)
     EXPECT_EQ(policyByName("migrate").kind,
               DeferralPolicy::GreenestRegion);
     EXPECT_EQ(policyName(DeferralPolicy::GreedyGreenest), "greedy");
-}
-
-TEST(Policies, ScheduleMatchesLegacyWrappersBitwise)
-{
-    const auto profile = DiurnalProfile::solarGrid(
-        gramsPerKilowattHour(583.0), 0.25);
-    const auto legacy_uniform = scheduleUniform(referenceLoad(), profile);
-    const auto legacy_aware =
-        scheduleCarbonAware(referenceLoad(), profile);
-    const auto uniform = schedule(referenceLoad(), profile.series(),
-                                  policyByName("uniform"));
-    const auto aware = schedule(referenceLoad(), profile.series(),
-                                policyByName("greedy"));
-
-    ASSERT_EQ(uniform.placement.size(), DiurnalProfile::kHours);
-    for (std::size_t h = 0; h < DiurnalProfile::kHours; ++h) {
-        EXPECT_EQ(util::asKilowattHours(uniform.placement[h]),
-                  util::asKilowattHours(legacy_uniform.placement[h]));
-        EXPECT_EQ(util::asKilowattHours(aware.placement[h]),
-                  util::asKilowattHours(legacy_aware.placement[h]));
-    }
-    EXPECT_EQ(util::asGrams(uniform.total()),
-              util::asGrams(legacy_uniform.total()));
-    EXPECT_EQ(util::asGrams(aware.total()),
-              util::asGrams(legacy_aware.total()));
 }
 
 TEST(Policies, DeadlineWindowInterpolatesUniformAndGreedy)
@@ -288,8 +278,8 @@ TEST_F(SchedulingDeathTest, NegativeEnergyIsFatal)
 {
     DailyLoad load = referenceLoad();
     load.deferrable_energy = util::kilowattHours(-1.0);
-    const auto profile = DiurnalProfile::flat(gramsPerKilowattHour(300));
-    EXPECT_EXIT(scheduleUniform(load, profile),
+    const auto day = IntensitySeries::flat(gramsPerKilowattHour(300));
+    EXPECT_EXIT(schedule(load, day, policyByName("uniform")),
                 ::testing::ExitedWithCode(1), "non-negative");
 }
 
@@ -298,8 +288,8 @@ TEST_F(SchedulingDeathTest, NanEnergyIsFatal)
     DailyLoad load = referenceLoad();
     load.deferrable_energy =
         util::kilowattHours(std::numeric_limits<double>::quiet_NaN());
-    const auto profile = DiurnalProfile::flat(gramsPerKilowattHour(300));
-    EXPECT_EXIT(scheduleUniform(load, profile),
+    const auto day = IntensitySeries::flat(gramsPerKilowattHour(300));
+    EXPECT_EXIT(schedule(load, day, policyByName("uniform")),
                 ::testing::ExitedWithCode(1), "must be finite");
 }
 
@@ -308,8 +298,8 @@ TEST_F(SchedulingDeathTest, NanBaselineIsFatal)
     DailyLoad load = referenceLoad();
     load.baseline =
         util::watts(std::numeric_limits<double>::quiet_NaN());
-    const auto profile = DiurnalProfile::flat(gramsPerKilowattHour(300));
-    EXPECT_EXIT(scheduleCarbonAware(load, profile),
+    const auto day = IntensitySeries::flat(gramsPerKilowattHour(300));
+    EXPECT_EXIT(schedule(load, day, policyByName("greedy")),
                 ::testing::ExitedWithCode(1), "must be finite");
 }
 
@@ -317,8 +307,8 @@ TEST_F(SchedulingDeathTest, ZeroCapacityWithEnergyIsFatal)
 {
     DailyLoad load = referenceLoad();
     load.deferrable_capacity = util::watts(0.0);
-    const auto profile = DiurnalProfile::flat(gramsPerKilowattHour(300));
-    EXPECT_EXIT(scheduleUniform(load, profile),
+    const auto day = IntensitySeries::flat(gramsPerKilowattHour(300));
+    EXPECT_EXIT(schedule(load, day, policyByName("uniform")),
                 ::testing::ExitedWithCode(1), "capacity is zero");
 }
 

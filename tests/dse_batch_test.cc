@@ -124,9 +124,8 @@ TEST_F(DseBatchTest, EveryDispatchLevelMatchesScalarOracle)
     const MonteCarloResult reference =
         monteCarlo(parameters, closure, 10'000, 42);
 
-    for (const auto level : {util::SimdLevel::Scalar,
-                             util::SimdLevel::Sse2,
-                             util::SimdLevel::Avx2}) {
+    for (const auto level :
+         {util::SimdLevel::Scalar, util::SimdLevel::Avx2}) {
         if (!util::simdLevelAvailable(level))
             continue;
         util::setSimdLevel(level);

@@ -138,9 +138,11 @@ TEST_F(HeartbeatTest, DirectoryScanSortsAndSkipsGarbage)
     obs::HeartbeatWriter(path("a.heartbeat.json"), 0.0)
         .beat(heartbeat, true);
 
-    // Non-heartbeat and unparseable files must be ignored.
+    // Non-heartbeat, unparseable and mistyped files must be ignored.
     std::ofstream(path("result.json")) << "{\"format\": \"other\"}\n";
     std::ofstream(path("junk.heartbeat.json")) << "not json{";
+    std::ofstream(path("mistyped.heartbeat.json"))
+        << "{\"format\":\"act.heartbeat.v1\",\"shard_index\":\"x\"}\n";
 
     const auto heartbeats = obs::loadHeartbeatDirectory(directory_);
     ASSERT_EQ(heartbeats.size(), 2u);

@@ -68,8 +68,6 @@ std::vector<util::SimdLevel>
 availableSimdLevels()
 {
     std::vector<util::SimdLevel> levels = {util::SimdLevel::Scalar};
-    if (util::simdLevelAvailable(util::SimdLevel::Sse2))
-        levels.push_back(util::SimdLevel::Sse2);
     if (util::simdLevelAvailable(util::SimdLevel::Avx2))
         levels.push_back(util::SimdLevel::Avx2);
     return levels;

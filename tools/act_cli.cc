@@ -24,6 +24,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -716,7 +717,15 @@ main(int argc, char **argv)
 
     const std::string command = argv[1];
     const Args args(argc, argv, 2);
-    const int status = runCommand(command, args);
+    int status = 0;
+    try {
+        status = runCommand(command, args);
+    } catch (const std::exception &error) {
+        // The one exception boundary: whatever a command did not turn
+        // into a located fatal itself still ends in one fatal line and
+        // exit 1, never in std::terminate.
+        act::util::fatal(command, ": ", error.what());
+    }
 
     if (!prom_path.empty()) {
         std::ofstream prom(prom_path, std::ios::trunc);
