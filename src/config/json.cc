@@ -559,17 +559,23 @@ loadJsonFile(const std::string &path)
 }
 
 void
-saveJsonFile(const std::string &path, const JsonValue &value, int indent)
+saveTextFile(const std::string &path, std::string_view text)
 {
     std::ofstream out(path, std::ios::binary);
     if (!out)
-        util::fatal("cannot write JSON file '", path, "'");
-    std::string text = value.dump(indent);
-    text += '\n';
+        util::fatal("cannot write '", path, "'");
     out.write(text.data(), static_cast<std::streamsize>(text.size()));
     out.close();
     if (!out)
-        util::fatal("failed writing JSON file '", path, "'");
+        util::fatal("failed writing '", path, "'");
+}
+
+void
+saveJsonFile(const std::string &path, const JsonValue &value, int indent)
+{
+    std::string text = value.dump(indent);
+    text += '\n';
+    saveTextFile(path, text);
 }
 
 } // namespace act::config

@@ -123,7 +123,11 @@ class JsonValue
  */
 JsonValue loadJsonFile(const std::string &path);
 
-/** Serialize @p value to @p path; fatal when any write fails. */
+/** Write @p text to @p path (truncating); fatal, naming the path,
+ *  when the file cannot be opened or any write fails. */
+void saveTextFile(const std::string &path, std::string_view text);
+
+/** Serialize @p value to @p path through saveTextFile(). */
 void saveJsonFile(const std::string &path, const JsonValue &value,
                   int indent = 2);
 

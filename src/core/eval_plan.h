@@ -23,7 +23,7 @@
  *
  * Batched evaluation takes structure-of-arrays input columns
  * (`inputs[i][s]` is bound input i of sample s) and fills a dense
- * output array -- the kernel shape dse::monteCarloBatch() and
+ * output array -- the kernel shape dse::monteCarloPlanChunk() and
  * dse::tornado() feed from reused buffers.
  */
 

@@ -114,19 +114,7 @@ monteCarlo(const std::vector<UncertainParameter> &parameters,
            std::size_t samples = 10'000, std::uint64_t seed = 42);
 
 /**
- * Batched model kernel: fill outputs[0, n) from n samples laid out as
- * structure-of-arrays columns (inputs[i][s] is parameter i's value for
- * sample s). One invocation replaces n scalar closure calls.
- */
-using BatchModel = std::function<void(
-    std::size_t n, const double *const *inputs, double *outputs)>;
-
-/** Adapt a compiled plan (core/eval_plan.h) into a batch kernel. The
- *  plan is captured by value -- it is a few dozen bytes of POD. */
-BatchModel batchModel(core::EvalPlan plan);
-
-/**
- * Reusable structure-of-arrays scratch for batched chunks: one
+ * Reusable structure-of-arrays scratch for monteCarloPlanChunk(): one
  * contiguous column per parameter, grown once and reused, so
  * steady-state chunk evaluation's only allocation is the output
  * vector it hands back. Typically held thread_local by chunk
@@ -170,29 +158,15 @@ class MonteCarloScratch
 };
 
 /**
- * Batched counterpart of monteCarloChunk(): draws the chunk's samples
- * into @p scratch in the *same RNG consumption order* as the scalar
- * path (sample-major: all of sample s's parameters before sample
- * s+1's), then invokes @p model once. For any model where the batch
- * kernel computes what the scalar closure computes, the returned
- * partial is bit-identical to monteCarloChunk()'s.
- */
-MonteCarloPartial
-monteCarloBatchChunk(const std::vector<UncertainParameter> &parameters,
-                     const BatchModel &model, util::IndexRange range,
-                     util::Xorshift64Star &rng,
-                     MonteCarloScratch &scratch);
-
-/**
  * Fused chunk kernel for compiled plans: samples sub-blocks of the
  * chunk directly into SoA columns (multi-lane RNG fill + vectorized
  * inverse-CDF transforms) and evaluates each sub-block with
  * EvalPlan::evaluateBatch while the columns are still in L1, instead
  * of materializing the whole chunk and re-reading it. RNG consumption
  * order, sampled values, and outputs are bit-identical to
- * monteCarloChunk() / monteCarloBatchChunk() at every SIMD dispatch
- * level. The sweep domains route through this; it is the hottest loop
- * in the tree.
+ * monteCarloChunk() (the scalar oracle) at every SIMD dispatch level.
+ * The cpa_montecarlo sweep domain and monteCarloBatch() route through
+ * this; it is the hottest loop in the tree.
  */
 MonteCarloPartial
 monteCarloPlanChunk(const std::vector<UncertainParameter> &parameters,
@@ -201,19 +175,13 @@ monteCarloPlanChunk(const std::vector<UncertainParameter> &parameters,
                     MonteCarloScratch &scratch);
 
 /**
- * monteCarlo() over a batch kernel: same chunk layout, same per-chunk
- * derived RNG streams, same ordered reduction -- results are
+ * monteCarlo() over a compiled plan whose bindings line up with
+ * @p parameters (fatal on a count mismatch): same chunk layout, same
+ * per-chunk derived RNG streams, same ordered reduction -- results are
  * bit-identical to the scalar path for any thread or shard count --
- * but each chunk costs one kernel call instead of kMonteCarloChunk
- * std::function invocations and vector refills.
+ * but each chunk runs monteCarloPlanChunk() instead of
+ * kMonteCarloChunk std::function invocations.
  */
-MonteCarloResult
-monteCarloBatch(const std::vector<UncertainParameter> &parameters,
-                const BatchModel &model, std::size_t samples = 10'000,
-                std::uint64_t seed = 42);
-
-/** Convenience overload: run the sweep against a compiled plan whose
- *  bindings line up with @p parameters (fatal on a count mismatch). */
 MonteCarloResult
 monteCarloBatch(const std::vector<UncertainParameter> &parameters,
                 const core::EvalPlan &plan,

@@ -49,6 +49,26 @@ toJson(const Heartbeat &heartbeat)
     return JsonValue(std::move(object));
 }
 
+namespace {
+
+/** A count field: absent gives @p fallback; present must be an
+ *  integral, non-negative number in range (JsonValue::asInteger's
+ *  checks), else JsonTypeError. */
+std::uint64_t
+countOr(const JsonValue &value, const std::string &key,
+        std::uint64_t fallback)
+{
+    if (!value.contains(key))
+        return fallback;
+    const std::int64_t count = value.at(key).asInteger();
+    if (count < 0)
+        throw config::JsonTypeError("heartbeat field '" + key +
+                                    "' is negative");
+    return static_cast<std::uint64_t>(count);
+}
+
+} // namespace
+
 Heartbeat
 heartbeatFromJson(const JsonValue &value)
 {
@@ -58,18 +78,12 @@ heartbeatFromJson(const JsonValue &value)
                     "', expected '", kHeartbeatFormat, "')");
     Heartbeat heartbeat;
     heartbeat.domain = value.stringOr("domain", "");
-    heartbeat.shard_index = static_cast<std::size_t>(
-        value.numberOr("shard_index", 0.0));
-    heartbeat.shard_count = static_cast<std::size_t>(
-        value.numberOr("shard_count", 1.0));
-    heartbeat.items_done = static_cast<std::uint64_t>(
-        value.numberOr("items_done", 0.0));
-    heartbeat.items_total = static_cast<std::uint64_t>(
-        value.numberOr("items_total", 0.0));
-    heartbeat.chunks_done = static_cast<std::size_t>(
-        value.numberOr("chunks_done", 0.0));
-    heartbeat.chunks_total = static_cast<std::size_t>(
-        value.numberOr("chunks_total", 0.0));
+    heartbeat.shard_index = countOr(value, "shard_index", 0);
+    heartbeat.shard_count = countOr(value, "shard_count", 1);
+    heartbeat.items_done = countOr(value, "items_done", 0);
+    heartbeat.items_total = countOr(value, "items_total", 0);
+    heartbeat.chunks_done = countOr(value, "chunks_done", 0);
+    heartbeat.chunks_total = countOr(value, "chunks_total", 0);
     heartbeat.items_per_sec = value.numberOr("items_per_sec", 0.0);
     heartbeat.rss_mb = value.numberOr("rss_mb", 0.0);
     heartbeat.start_wall_s = value.numberOr("start_wall_s", 0.0);

@@ -76,6 +76,9 @@ struct Heartbeat
 };
 
 config::JsonValue toJson(const Heartbeat &heartbeat);
+
+/** Throws config::JsonTypeError on a mistyped field, and on a count
+ *  field that is not a non-negative integer. */
 Heartbeat heartbeatFromJson(const config::JsonValue &value);
 
 /** Unix wall-clock time in seconds (sub-second resolution). */

@@ -28,6 +28,11 @@ traceEpochOf(const JsonValue &trace, const std::string &name)
             continue;
         const double epoch =
             event.at("args").numberOr("wall_epoch_us", 0.0);
+        // 2^64 is exact as a double; the cast outside [0, 2^64) is
+        // undefined.
+        if (!(epoch >= 0.0 && epoch < 18446744073709551616.0))
+            throw config::JsonTypeError(
+                "trace_epoch wall_epoch_us is out of range");
         return static_cast<std::uint64_t>(epoch);
     }
     util::warn("trace '", name,
@@ -41,6 +46,19 @@ basenameOf(const std::string &path)
 {
     const std::size_t slash = path.find_last_of('/');
     return slash == std::string::npos ? path : path.substr(slash + 1);
+}
+
+/** Run @p step on input @p name; a JSON type error inside it (a
+ *  field of the wrong type) becomes a fatal that names the input. */
+template <typename Step>
+auto
+forInput(const std::string &name, Step &&step)
+{
+    try {
+        return step();
+    } catch (const config::JsonTypeError &error) {
+        util::fatal(name, ": ", error.what());
+    }
 }
 
 JsonValue
@@ -77,7 +95,8 @@ mergeTraceDocs(const std::vector<JsonValue> &traces,
                         "' is not a Chrome trace document "
                         "(no traceEvents array)");
         }
-        epochs.push_back(traceEpochOf(traces[i], names[i]));
+        epochs.push_back(forInput(
+            names[i], [&] { return traceEpochOf(traces[i], names[i]); }));
     }
     const std::uint64_t min_epoch =
         epochs.empty()
@@ -102,20 +121,23 @@ mergeTraceDocs(const std::vector<JsonValue> &traces,
         // so the µs delta stays well inside double precision.
         const double delta_us =
             static_cast<double>(epochs[i] - min_epoch);
-        for (const JsonValue &event :
-             traces[i].at("traceEvents").asArray()) {
-            if (!event.isObject())
-                continue;
-            // Per-file epoch anchors are consumed by the alignment;
-            // the merged file carries a single fresh one.
-            if (event.stringOr("name", "") == "trace_epoch")
-                continue;
-            JsonObject remapped = event.asObject();
-            remapped["pid"] = JsonValue(pid);
-            remapped["ts"] = JsonValue(
-                event.numberOr("ts", 0.0) + delta_us);
-            merged.push_back(JsonValue(std::move(remapped)));
-        }
+        forInput(names[i], [&] {
+            for (const JsonValue &event :
+                 traces[i].at("traceEvents").asArray()) {
+                if (!event.isObject())
+                    continue;
+                // Per-file epoch anchors are consumed by the
+                // alignment; the merged file carries a single fresh
+                // one.
+                if (event.stringOr("name", "") == "trace_epoch")
+                    continue;
+                JsonObject remapped = event.asObject();
+                remapped["pid"] = JsonValue(pid);
+                remapped["ts"] = JsonValue(
+                    event.numberOr("ts", 0.0) + delta_us);
+                merged.push_back(JsonValue(std::move(remapped)));
+            }
+        });
     }
 
     JsonObject doc;

@@ -28,7 +28,8 @@ namespace act::obs {
  * Merge parsed trace documents into one. @p names labels each pid
  * (parallel to @p traces; typically source basenames). A document
  * missing its `trace_epoch` metadata warns and is aligned with delta
- * zero. Fatal when a document is not a Chrome trace object.
+ * zero. Fatal when a document is not a Chrome trace object, and when
+ * a field has the wrong type or range ("<name>: <what>").
  */
 config::JsonValue
 mergeTraceDocs(const std::vector<config::JsonValue> &traces,

@@ -170,13 +170,6 @@ runShardedSweep(const SweepPlan &plan, const ShardSpec &shard,
     return result;
 }
 
-ShardResult
-runShardedSweep(const SweepPlan &plan, const ShardSpec &shard,
-                const JsonChunkEvaluator &evaluator)
-{
-    return runShardedSweep(plan, shard, evaluator, ShardRunOptions{});
-}
-
 JsonValue
 toJson(ShardResult result)
 {

@@ -61,13 +61,20 @@ std::size_t mapGrain(std::size_t items);
 } // namespace detail
 
 /**
- * Evaluate every chunk of @p plan: @p evaluator(chunk, range, rng) ->
- * Chunk, returning the per-chunk results in chunk order. The RNG is
- * pre-seeded with the chunk's derived stream.
+ * Deterministic sweep with ordered reduction: evaluate every chunk as
+ * @p evaluator(chunk, range, rng) -- the RNG pre-seeded with the
+ * chunk's derived stream -- then fold the chunk results in chunk order
+ * on the calling thread:
+ *
+ *   acc = reduce(reduce(init, chunk0), chunk1) ...
+ *
+ * Chunk layout and stream seeds come from the plan alone, so the
+ * result is bit-identical for every thread count.
  */
-template <typename Evaluator>
-auto
-runSweepChunks(const SweepPlan &plan, Evaluator &&evaluator)
+template <typename Accumulator, typename Evaluator, typename Reducer>
+Accumulator
+runSweep(const SweepPlan &plan, Evaluator &&evaluator, Reducer &&reduce,
+         Accumulator init = Accumulator{})
 {
     using Chunk = std::decay_t<std::invoke_result_t<
         Evaluator &, std::size_t, util::IndexRange,
@@ -81,26 +88,8 @@ runSweepChunks(const SweepPlan &plan, Evaluator &&evaluator)
                 util::deriveSeed(plan.seed, chunk));
             partials[chunk] = evaluator(chunk, range, rng);
         });
-    return partials;
-}
-
-/**
- * Deterministic sweep with ordered reduction: evaluate every chunk,
- * then fold the chunk results in chunk order on the calling thread:
- *
- *   acc = reduce(reduce(init, chunk0), chunk1) ...
- *
- * Chunk layout and stream seeds come from the plan alone, so the
- * result is bit-identical for every thread count.
- */
-template <typename Accumulator, typename Evaluator, typename Reducer>
-Accumulator
-runSweep(const SweepPlan &plan, Evaluator &&evaluator, Reducer &&reduce,
-         Accumulator init = Accumulator{})
-{
-    auto partials = runSweepChunks(plan, evaluator);
     Accumulator accumulator = std::move(init);
-    for (auto &partial : partials)
+    for (Chunk &partial : partials)
         accumulator = reduce(std::move(accumulator), std::move(partial));
     return accumulator;
 }
@@ -174,11 +163,7 @@ struct ShardRunOptions
 ShardResult runShardedSweep(const SweepPlan &plan,
                             const ShardSpec &shard,
                             const JsonChunkEvaluator &evaluator,
-                            const ShardRunOptions &options);
-
-ShardResult runShardedSweep(const SweepPlan &plan,
-                            const ShardSpec &shard,
-                            const JsonChunkEvaluator &evaluator);
+                            const ShardRunOptions &options = {});
 
 /**
  * Partial-result file document ("act.sweep.partial.v1"). Both

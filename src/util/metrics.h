@@ -2,8 +2,8 @@
  * @file
  * Process-wide metrics registry: named counters, gauges, and
  * fixed-bucket histograms that any layer can update from any thread,
- * plus snapshot/rendering so bench binaries and the CLI can print an
- * end-of-run table (via util/table) or CSV (via util/csv).
+ * plus a snapshot and an end-of-run table (via util/table) that bench
+ * binaries and the CLI print.
  *
  * Overhead contract:
  *  - Counters and gauges are always live: an update is one relaxed
@@ -235,12 +235,6 @@ class MetricsRegistry
 
     /** ASCII table (util/table) of every metric, sorted by name. */
     std::string renderTable() const;
-
-    /** CSV (util/csv) of every metric, sorted by name. */
-    std::string renderCsv() const;
-
-    /** Reset every counter and histogram (gauges keep their value). */
-    void reset();
 
   private:
     MetricsRegistry();

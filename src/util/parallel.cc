@@ -359,15 +359,4 @@ runChunks(const std::vector<IndexRange> &chunks,
     });
 }
 
-void
-parallelFor(std::size_t begin, std::size_t end, std::size_t grain,
-            const std::function<void(std::size_t)> &body)
-{
-    runChunks(staticChunks(begin, end, grain),
-              [&](std::size_t, IndexRange range) {
-                  for (std::size_t i = range.begin; i < range.end; ++i)
-                      body(i);
-              });
-}
-
 } // namespace act::util

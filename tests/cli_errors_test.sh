@@ -26,6 +26,26 @@ expect_fatal() {
     fi
 }
 
+# expect_fatal_naming <name> <path> <command...>: as expect_fatal, and
+# stderr holds exactly one "fatal:" line, which names <path>.
+expect_fatal_naming() {
+    name=$1
+    path=$2
+    shift 2
+    "$@" > "$work/stdout" 2> "$work/stderr"
+    rc=$?
+    fatal_lines=$(grep -c '^fatal: ' "$work/stderr")
+    if [ "$rc" -eq 1 ] && [ "$fatal_lines" -eq 1 ] &&
+        grep '^fatal: ' "$work/stderr" | grep -qF "$path" &&
+        ! grep -q 'terminate called' "$work/stderr"; then
+        echo "ok   $name: $(grep '^fatal: ' "$work/stderr")"
+    else
+        echo "FAIL $name: exit $rc, $fatal_lines fatal line(s)"
+        cat "$work/stderr"
+        failures=$((failures + 1))
+    fi
+}
+
 cat > "$work/plan.json" <<'EOF'
 {
   "domain": "cpa_montecarlo",
@@ -48,6 +68,15 @@ for i in 0 1 2; do
     if ! "$act" sweep --plan "$work/plan.json" --shards 3 \
         --shard-index $i --out "$work/part$i.json" > /dev/null; then
         echo "FAIL setup: cannot write partial $i"
+        exit 1
+    fi
+done
+# The same shards with a metrics doc riding along, so that
+# --metrics-prom has a snapshot to write.
+for i in 0 1 2; do
+    if ! ACT_METRICS=1 "$act" sweep --plan "$work/plan.json" --shards 3 \
+        --shard-index $i --out "$work/metrics$i.json" > /dev/null; then
+        echo "FAIL setup: cannot write metrics partial $i"
         exit 1
     fi
 done
@@ -83,6 +112,25 @@ expect_fatal "sweep writing to a full device" \
     --out /dev/full
 expect_fatal "plan with an out-of-range item count" \
     "$act" sweep --plan "$work/huge_plan.json"
+
+# A trace event whose "ts" is not a number: the fatal names the file.
+printf '{"traceEvents":[{"ts":"x","ph":"X","name":"a"}]}\n' \
+    > "$work/t.json"
+expect_fatal_naming "trace-merge of a trace with a string timestamp" \
+    "$work/t.json" "$act" trace-merge "$work/merged.json" "$work/t.json"
+
+# Prometheus snapshots go through the same checked writer as JSON.
+expect_fatal_naming "--prom to a full device" /dev/full \
+    "$act" cpa 7 --prom /dev/full
+expect_fatal_naming "--prom into a missing directory" \
+    "$work/missing/x.prom" "$act" cpa 7 --prom "$work/missing/x.prom"
+expect_fatal_naming "merge --metrics-prom to a full device" /dev/full \
+    "$act" merge "$work/metrics0.json" "$work/metrics1.json" \
+    "$work/metrics2.json" --metrics-prom /dev/full
+expect_fatal_naming "merge --metrics-prom into a missing directory" \
+    "$work/missing/m.prom" "$act" merge "$work/metrics0.json" \
+    "$work/metrics1.json" "$work/metrics2.json" \
+    --metrics-prom "$work/missing/m.prom"
 
 if [ "$failures" -ne 0 ]; then
     echo "$failures case(s) failed"

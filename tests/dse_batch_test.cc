@@ -164,27 +164,6 @@ TEST_F(DseBatchTest, RawPlanMatchesScalarFormula)
                      monteCarlo(parameters, closure, 10'000, 7));
 }
 
-TEST_F(DseBatchTest, BatchModelAdapterMatchesGenericBatchPath)
-{
-    // monteCarloBatch over an arbitrary BatchModel (not a plan):
-    // the batch driver itself is model-agnostic.
-    const std::vector<UncertainParameter> parameters = {
-        {"a", Distribution::Uniform, 0.5, 0.0, 1.0},
-        {"b", Distribution::Triangular, 0.25, 0.0, 1.0},
-    };
-    const auto closure = [](const std::vector<double> &v) {
-        return v[0] * 3.0 + v[1];
-    };
-    const BatchModel batch = [](std::size_t n,
-                                const double *const *inputs,
-                                double *outputs) {
-        for (std::size_t s = 0; s < n; ++s)
-            outputs[s] = inputs[0][s] * 3.0 + inputs[1][s];
-    };
-    expectSameResult(monteCarloBatch(parameters, batch, 4'096, 13),
-                     monteCarlo(parameters, closure, 4'096, 13));
-}
-
 TEST_F(DseBatchTest, ShardedDomainMatchesScalarOracle)
 {
     // The cpa_montecarlo domain runs the compiled batch kernel; a

@@ -138,11 +138,19 @@ TEST_F(HeartbeatTest, DirectoryScanSortsAndSkipsGarbage)
     obs::HeartbeatWriter(path("a.heartbeat.json"), 0.0)
         .beat(heartbeat, true);
 
-    // Non-heartbeat, unparseable and mistyped files must be ignored.
+    // Non-heartbeat, unparseable and mistyped files must be ignored,
+    // and so must counts that are negative, fractional or out of
+    // integer range.
     std::ofstream(path("result.json")) << "{\"format\": \"other\"}\n";
     std::ofstream(path("junk.heartbeat.json")) << "not json{";
     std::ofstream(path("mistyped.heartbeat.json"))
         << "{\"format\":\"act.heartbeat.v1\",\"shard_index\":\"x\"}\n";
+    std::ofstream(path("negative.heartbeat.json"))
+        << "{\"format\":\"act.heartbeat.v1\",\"shard_index\":-1}\n";
+    std::ofstream(path("fractional.heartbeat.json"))
+        << "{\"format\":\"act.heartbeat.v1\",\"chunks_done\":1.5}\n";
+    std::ofstream(path("huge.heartbeat.json"))
+        << "{\"format\":\"act.heartbeat.v1\",\"items_total\":1e300}\n";
 
     const auto heartbeats = obs::loadHeartbeatDirectory(directory_);
     ASSERT_EQ(heartbeats.size(), 2u);

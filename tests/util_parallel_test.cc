@@ -69,46 +69,24 @@ TEST_F(ParallelTest, AutomaticGrainIsThreadCountIndependent)
     }
 }
 
-TEST_F(ParallelTest, ParallelForVisitsEveryIndexExactlyOnce)
+TEST_F(ParallelTest, RunChunksVisitsEveryIndexExactlyOnce)
 {
     for (const std::size_t threads : contractThreadCounts()) {
         setThreadCount(threads);
         std::vector<std::atomic<int>> visits(1000);
-        parallelFor(0, visits.size(), 16, [&](std::size_t i) {
-            visits[i].fetch_add(1);
-        });
+        std::vector<std::atomic<int>> chunk_calls(
+            staticChunks(0, visits.size(), 16).size());
+        runChunks(staticChunks(0, visits.size(), 16),
+                  [&](std::size_t chunk, IndexRange range) {
+                      chunk_calls[chunk].fetch_add(1);
+                      for (std::size_t i = range.begin; i < range.end;
+                           ++i)
+                          visits[i].fetch_add(1);
+                  });
         for (const auto &count : visits)
             EXPECT_EQ(count.load(), 1);
-    }
-}
-
-TEST_F(ParallelTest, MapReduceIsBitIdenticalAcrossThreadCounts)
-{
-    // A floating-point sum whose value depends on evaluation order:
-    // only a fixed chunk layout plus ordered reduction makes this
-    // reproducible across thread counts.
-    const auto sweep = [](std::size_t) {
-        return parallelMapReduce<double>(
-            0, 100'000, 512,
-            [](IndexRange range) {
-                double sum = 0.0;
-                for (std::size_t i = range.begin; i < range.end; ++i)
-                    sum += std::sin(static_cast<double>(i)) * 1e-3 +
-                           1.0 / static_cast<double>(i + 1);
-                return sum;
-            },
-            [](double acc, double part) { return acc + part; });
-    };
-
-    setThreadCount(1);
-    const double reference = sweep(0);
-    for (const std::size_t threads : contractThreadCounts()) {
-        setThreadCount(threads);
-        for (int repeat = 0; repeat < 3; ++repeat) {
-            const double value = sweep(threads);
-            EXPECT_EQ(value, reference)
-                << "thread count " << threads << " repeat " << repeat;
-        }
+        for (const auto &count : chunk_calls)
+            EXPECT_EQ(count.load(), 1);
     }
 }
 
@@ -116,10 +94,10 @@ TEST_F(ParallelTest, NestedParallelSectionsFallBackToSerial)
 {
     setThreadCount(4);
     std::atomic<int> total{0};
-    parallelFor(0, 8, 1, [&](std::size_t) {
+    runChunks(staticChunks(0, 8, 1), [&](std::size_t, IndexRange) {
         // Inner section runs serially on the worker; must not hang.
-        parallelFor(0, 10, 1,
-                    [&](std::size_t) { total.fetch_add(1); });
+        runChunks(staticChunks(0, 10, 1),
+                  [&](std::size_t, IndexRange) { total.fetch_add(1); });
     });
     EXPECT_EQ(total.load(), 80);
 }
@@ -133,7 +111,7 @@ TEST_F(ParallelTest, NestedSectionOnTheSubmitterRunsSerially)
     const std::thread::id submitter = std::this_thread::get_id();
     std::atomic<bool> nested_done{false};
     std::atomic<int> inner{0};
-    parallelFor(0, 256, 1, [&](std::size_t) {
+    runChunks(staticChunks(0, 256, 1), [&](std::size_t, IndexRange) {
         if (std::this_thread::get_id() != submitter) {
             while (!nested_done.load())
                 std::this_thread::yield();
@@ -141,7 +119,8 @@ TEST_F(ParallelTest, NestedSectionOnTheSubmitterRunsSerially)
         }
         if (nested_done.load())
             return;
-        parallelFor(0, 10, 1, [&](std::size_t) { inner.fetch_add(1); });
+        runChunks(staticChunks(0, 10, 1),
+                  [&](std::size_t, IndexRange) { inner.fetch_add(1); });
         nested_done.store(true);
     });
     EXPECT_TRUE(nested_done.load());
@@ -159,13 +138,15 @@ TEST(ParallelDeathTest, FatalOnAWorkerExitsOne)
         {
             setThreadCount(4);
             const std::thread::id submitter = std::this_thread::get_id();
-            parallelFor(0, 256, 1, [&](std::size_t i) {
-                // The submitter's chunk waits for a worker's fatal().
-                while (std::this_thread::get_id() == submitter)
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(1));
-                fatal("chunk ", i, " failed");
-            });
+            runChunks(staticChunks(0, 256, 1),
+                      [&](std::size_t chunk, IndexRange) {
+                          // The submitter's chunk waits for a worker's
+                          // fatal().
+                          while (std::this_thread::get_id() == submitter)
+                              std::this_thread::sleep_for(
+                                  std::chrono::milliseconds(1));
+                          fatal("chunk ", chunk, " failed");
+                      });
         },
         ::testing::ExitedWithCode(1), "^fatal: chunk [0-9]+ failed\n$");
 }

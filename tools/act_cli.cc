@@ -25,7 +25,6 @@
 #include <cmath>
 #include <cstring>
 #include <exception>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -106,8 +105,7 @@ printUsage()
         "  --prom <file>      write this process's metrics snapshot "
         "in the\n"
         "                     Prometheus text format (implies "
-        "--metrics;\n"
-        "                     env: ACT_METRICS_PROM)\n";
+        "--metrics)\n";
 }
 
 /** Flags that stand alone instead of taking a value. */
@@ -572,12 +570,9 @@ cmdMerge(const Args &args)
             obs::mergeMetricsDocs(metric_docs);
         if (!metrics_out.empty())
             config::saveJsonFile(metrics_out, aggregated);
-        if (!metrics_prom.empty()) {
-            std::ofstream prom(metrics_prom, std::ios::trunc);
-            if (!prom)
-                util::fatal("cannot write '", metrics_prom, "'");
-            prom << obs::renderPrometheus(aggregated);
-        }
+        if (!metrics_prom.empty())
+            config::saveTextFile(metrics_prom,
+                                 obs::renderPrometheus(aggregated));
         if (!metric_docs.empty()) {
             std::cout << "--- merged metrics (" << metric_docs.size()
                       << " of " << shard_total << " shards) ---\n"
@@ -680,9 +675,8 @@ main(int argc, char **argv)
 {
     // Peel the observability flags off before command parsing so they
     // work uniformly with every command (and mirror ACT_METRICS /
-    // ACT_TRACE / ACT_METRICS_PROM).
-    std::string prom_path =
-        act::util::envString("ACT_METRICS_PROM", "");
+    // ACT_TRACE).
+    std::string prom_path;
     std::vector<char *> arguments;
     arguments.reserve(static_cast<std::size_t>(argc));
     for (int i = 0; i < argc; ++i) {
@@ -728,14 +722,10 @@ main(int argc, char **argv)
     }
 
     if (!prom_path.empty()) {
-        std::ofstream prom(prom_path, std::ios::trunc);
-        if (!prom) {
-            act::util::warn("cannot write Prometheus snapshot to '",
-                            prom_path, "'");
-        } else {
-            prom << act::obs::renderPrometheus(act::obs::metricsToJson(
-                act::util::MetricsRegistry::instance().snapshot()));
-        }
+        act::config::saveTextFile(
+            prom_path,
+            act::obs::renderPrometheus(act::obs::metricsToJson(
+                act::util::MetricsRegistry::instance().snapshot())));
     }
     if (act::util::metricsEnabled()) {
         std::cout << "\n--- metrics ---\n"
