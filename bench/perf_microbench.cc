@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -28,6 +29,9 @@
 #include "mobile/platform.h"
 #include "pkg/pkg_plan.h"
 #include "ssd/ftl_sim.h"
+#include "sweep/domains.h"
+#include "sweep/engine.h"
+#include "sweep/plan.h"
 #include "util/parallel.h"
 #include "util/random.h"
 #include "util/simd.h"
@@ -454,6 +458,42 @@ BM_FtlSimulator(benchmark::State &state)
                             static_cast<std::int64_t>(state.range(0)));
 }
 BENCHMARK(BM_FtlSimulator)->Arg(10000)->Arg(100000);
+
+/**
+ * The serialize layer of the sharded Monte Carlo workload:
+ * saveJsonFile() of one shard's partial -- shard 0 of 3 of a
+ * 1M-sample cpa_montecarlo plan, 163 chunks x 2048 samples (~9 MB of
+ * JSON) -- to a temporary file.
+ */
+void
+BM_JsonSaveMcPartial(benchmark::State &state)
+{
+    sweep::SweepPlan plan = sweep::sweepPlanFromJson(
+        config::JsonValue::parse(R"({
+            "domain": "cpa_montecarlo", "items": 1000000, "seed": 42,
+            "config": {"node_nm": 14, "parameters": [
+                {"name": "ci_fab_g_per_kwh", "distribution": "uniform",
+                 "low": 30, "high": 700},
+                {"name": "yield", "distribution": "triangular",
+                 "low": 0.8, "baseline": 0.875, "high": 0.95},
+                {"name": "abatement", "distribution": "uniform",
+                 "low": 0.9, "high": 1.0}]}})"));
+    const sweep::Domain &domain = sweep::findDomain(plan.domain);
+    domain.prepare(plan);
+    sweep::ShardSpec shard;
+    shard.shard_count = 3;
+    const config::JsonValue partial = sweep::toJson(
+        sweep::runShardedSweep(plan, shard, domain.evaluator(plan)));
+
+    const std::string path = (std::filesystem::temp_directory_path() /
+                              "act_bench_mc_partial.json")
+                                 .string();
+    for (auto _ : state)
+        config::saveJsonFile(path, partial);
+    std::filesystem::remove(path);
+    state.SetItemsProcessed(state.iterations() * 163 * 2048);
+}
+BENCHMARK(BM_JsonSaveMcPartial)->Unit(benchmark::kMillisecond);
 
 /**
  * The usual console output plus a machine-readable BENCH_results.json

@@ -1,12 +1,17 @@
 #include "config/json.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <utility>
 
 #include "util/logging.h"
+#include "util/output_file.h"
 
 namespace act::config {
 
@@ -330,24 +335,139 @@ appendEscaped(std::string &out, const std::string &text)
     out += '"';
 }
 
+/** 5^k for k in [0, 22]: every power the 17-digit window scales by. */
+constexpr auto kPow5 = [] {
+    std::array<std::uint64_t, 23> table{};
+    table[0] = 1;
+    for (std::size_t k = 1; k < table.size(); ++k)
+        table[k] = table[k - 1] * 5;
+    return table;
+}();
+
+constexpr std::uint64_t kTen17 = 100'000'000'000'000'000;
+
+/** "00".."99", for writing two digits per division. */
+constexpr auto kDigitPairs = [] {
+    std::array<char, 200> pairs{};
+    for (std::size_t i = 0; i < 100; ++i) {
+        pairs[2 * i] = static_cast<char>('0' + i / 10);
+        pairs[2 * i + 1] = static_cast<char>('0' + i % 10);
+    }
+    return pairs;
+}();
+
+/**
+ * printf's "%.17g" for finite |value| in [1e-5, 1e17), by exact integer
+ * arithmetic; returns nullptr (writing nothing) outside that window.
+ *
+ * With value = m * 2^e (m < 2^53) and X = floor(log10|value|), the 17
+ * significant digits are round(m * 5^p * 2^(e+p)) for p = 16 - X. In
+ * the window p <= 22, so m * 5^p < 2^105 is exact in 128 bits, and the
+ * shift leaves an exact remainder to round half to even from -- the
+ * same rounding glibc's printf and std::to_chars apply.
+ */
+char *
+formatG17Window(char *out, double value)
+{
+    const double magnitude = std::fabs(value);
+    if (!(magnitude >= 1e-5 && magnitude < 1e17))
+        return nullptr;
+    const auto bits = std::bit_cast<std::uint64_t>(value);
+    const std::uint64_t m =
+        (bits & ((std::uint64_t{1} << 52) - 1)) | (std::uint64_t{1} << 52);
+    const int e = static_cast<int>((bits >> 52) & 0x7FF) - 1075;
+
+    // |value| is in [2^(e+52), 2^(e+53)), so floor((e+52) * log10 2)
+    // is X or X - 1; one retry at a ten times smaller scale corrects
+    // it. (78913 / 2^18 gives that floor exactly for |e+52| < 1000.)
+    int exponent = ((e + 52) * 78913) >> 18;
+    unsigned __int128 quotient = 0;
+    bool round_up = false;
+    for (;;) {
+        const int p = 16 - exponent;
+        const unsigned __int128 scaled =
+            static_cast<unsigned __int128>(m) * kPow5[p];
+        const int shift = e + p;
+        if (shift >= 0) {
+            quotient = scaled << shift;
+            round_up = false;
+        } else {
+            quotient = scaled >> -shift;
+            const unsigned __int128 half = static_cast<unsigned __int128>(1)
+                                           << (-shift - 1);
+            const unsigned __int128 remainder =
+                scaled & ((half << 1) - 1);
+            round_up = remainder > half ||
+                       (remainder == half && (quotient & 1) != 0);
+        }
+        if (quotient < kTen17)
+            break;
+        ++exponent;
+    }
+    // Rounding never carries into an 18th digit: that would need
+    // |value| within a relative 5e-18 below 10^(X+1), and the nearest
+    // double below a power of ten is at least 2^-53 (1.1e-16) away.
+    std::uint64_t digits = static_cast<std::uint64_t>(quotient) + round_up;
+
+    char text[17];
+    for (int i = 15; i > 0; i -= 2) {
+        std::memcpy(text + i, &kDigitPairs[2 * (digits % 100)], 2);
+        digits /= 100;
+    }
+    text[0] = static_cast<char>('0' + digits);
+    int length = 17;
+    while (text[length - 1] == '0')
+        --length;
+
+    if (value < 0)
+        *out++ = '-';
+    if (exponent >= 0) {
+        // Fixed, the integer part kept whole (X <= 16).
+        const int whole = exponent + 1;
+        out = std::copy(text, text + whole, out);
+        if (length > whole) {
+            *out++ = '.';
+            out = std::copy(text + whole, text + length, out);
+        }
+    } else if (exponent >= -4) {
+        *out++ = '0';
+        *out++ = '.';
+        out = std::fill_n(out, -exponent - 1, '0');
+        out = std::copy(text, text + length, out);
+    } else {
+        // X = -5, the window's one exponent form: d.ddde-05.
+        *out++ = text[0];
+        if (length > 1) {
+            *out++ = '.';
+            out = std::copy(text + 1, text + length, out);
+        }
+        out = std::copy_n("e-05", 4, out);
+    }
+    return out;
+}
+
 /**
  * Integral values below 1e15 print without a fraction; everything else
  * prints with 17 significant digits, enough to round-trip any double.
  * The text equals printf's "%.0f" / "%.17g" and ignores the locale.
+ * Values outside formatG17Window() (subnormals, very small or large
+ * magnitudes, inf, nan) go through std::to_chars.
  */
 void
 appendNumber(std::string &out, double value)
 {
     char buffer[32];
-    const auto [end, error] =
-        value == std::floor(value) && std::fabs(value) < 1e15
-            ? std::to_chars(buffer, buffer + sizeof(buffer), value,
-                            std::chars_format::fixed, 0)
-            : std::to_chars(buffer, buffer + sizeof(buffer), value,
-                            std::chars_format::general, 17);
-    if (error != std::errc())
+    std::to_chars_result result{nullptr, std::errc()};
+    if (value == std::floor(value) && std::fabs(value) < 1e15) {
+        result = std::to_chars(buffer, buffer + sizeof(buffer), value,
+                               std::chars_format::fixed, 0);
+    } else if ((result.ptr = formatG17Window(buffer, value)) == nullptr) {
+        result = std::to_chars(buffer, buffer + sizeof(buffer), value,
+                               std::chars_format::general, 17);
+    }
+    if (result.ec != std::errc())
         util::panic("cannot format JSON number ", value);
-    out.append(buffer, end);
+    out.append(buffer, result.ptr);
 }
 
 /** Line break plus @p depth levels of indentation; none when compact. */
@@ -359,6 +479,21 @@ appendNewline(std::string &out, int indent, int depth)
         out.append(static_cast<std::size_t>(indent) *
                        static_cast<std::size_t>(depth),
                    ' ');
+    }
+}
+
+/** saveJsonFile()'s buffer size: large enough that each write() moves
+ *  a megabyte, small enough that a 28 MB document never sits in memory
+ *  as text. */
+constexpr std::size_t kFlushBytes = std::size_t{1} << 20;
+
+/** Hand a full buffer to the sink and start it over. */
+void
+drainIfFull(std::string &out, util::OutputFile *sink)
+{
+    if (sink != nullptr && out.size() >= kFlushBytes) {
+        sink->write(out);
+        out.clear();
     }
 }
 
@@ -475,7 +610,8 @@ JsonValue::stringOr(const std::string &key, const std::string &fallback) const
 }
 
 void
-JsonValue::dumpTo(std::string &out, int indent, int depth) const
+JsonValue::dumpTo(std::string &out, int indent, int depth,
+                  util::OutputFile *sink) const
 {
     if (isNull()) {
         out += "null";
@@ -496,7 +632,8 @@ JsonValue::dumpTo(std::string &out, int indent, int depth) const
             if (i > 0)
                 out += ',';
             appendNewline(out, indent, depth + 1);
-            array[i].dumpTo(out, indent, depth + 1);
+            array[i].dumpTo(out, indent, depth + 1, sink);
+            drainIfFull(out, sink);
         }
         appendNewline(out, indent, depth);
         out += ']';
@@ -515,7 +652,8 @@ JsonValue::dumpTo(std::string &out, int indent, int depth) const
             appendNewline(out, indent, depth + 1);
             appendEscaped(out, key);
             out += indent > 0 ? ": " : ":";
-            value.dumpTo(out, indent, depth + 1);
+            value.dumpTo(out, indent, depth + 1, sink);
+            drainIfFull(out, sink);
         }
         appendNewline(out, indent, depth);
         out += '}';
@@ -526,7 +664,7 @@ std::string
 JsonValue::dump(int indent) const
 {
     std::string out;
-    dumpTo(out, indent, 0);
+    dumpTo(out, indent, 0, nullptr);
     return out;
 }
 
@@ -561,21 +699,21 @@ loadJsonFile(const std::string &path)
 void
 saveTextFile(const std::string &path, std::string_view text)
 {
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        util::fatal("cannot write '", path, "'");
-    out.write(text.data(), static_cast<std::streamsize>(text.size()));
-    out.close();
-    if (!out)
-        util::fatal("failed writing '", path, "'");
+    util::OutputFile file(path);
+    file.write(text);
+    file.close();
 }
 
 void
 saveJsonFile(const std::string &path, const JsonValue &value, int indent)
 {
-    std::string text = value.dump(indent);
-    text += '\n';
-    saveTextFile(path, text);
+    util::OutputFile file(path);
+    std::string buffer;
+    buffer.reserve(kFlushBytes + kFlushBytes / 8);
+    value.dumpTo(buffer, indent, 0, &file);
+    buffer += '\n';
+    file.write(buffer);
+    file.close();
 }
 
 } // namespace act::config

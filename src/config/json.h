@@ -20,6 +20,10 @@
 #include <variant>
 #include <vector>
 
+namespace act::util {
+class OutputFile;
+} // namespace act::util
+
 namespace act::config {
 
 class JsonValue;
@@ -114,7 +118,17 @@ class JsonValue
                  JsonObject>
         data_;
 
-    void dumpTo(std::string &out, int indent, int depth) const;
+    /**
+     * Append the serialization to @p out. With a @p sink, @p out is a
+     * bounded buffer: whenever it passes about 1 MiB it is written to
+     * the sink and cleared, so a document of any size costs one
+     * buffer of memory.
+     */
+    void dumpTo(std::string &out, int indent, int depth,
+                util::OutputFile *sink) const;
+
+    friend void saveJsonFile(const std::string &path,
+                             const JsonValue &value, int indent);
 };
 
 /**
@@ -127,7 +141,11 @@ JsonValue loadJsonFile(const std::string &path);
  *  when the file cannot be opened or any write fails. */
 void saveTextFile(const std::string &path, std::string_view text);
 
-/** Serialize @p value to @p path through saveTextFile(). */
+/**
+ * Serialize @p value to @p path, streamed through one bounded buffer
+ * and the same checked writer as saveTextFile(); fatal, naming the
+ * path, when any write fails.
+ */
 void saveJsonFile(const std::string &path, const JsonValue &value,
                   int indent = 2);
 

@@ -59,7 +59,13 @@ std::string
 formatFixed(double value, int decimals)
 {
     char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%.*f", decimals, value);
+    const int length =
+        std::snprintf(buffer, sizeof(buffer), "%.*f", decimals, value);
+    if (length >= 0 && static_cast<std::size_t>(length) < sizeof(buffer))
+        return buffer;
+    // Around 1e60 and up the fixed form no longer fits: print the
+    // exponent form rather than a truncated run of digits.
+    std::snprintf(buffer, sizeof(buffer), "%.*e", decimals, value);
     return buffer;
 }
 

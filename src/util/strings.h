@@ -25,7 +25,12 @@ std::string toLower(std::string_view text);
 /** True when @p text begins with @p prefix. */
 bool startsWith(std::string_view text, std::string_view prefix);
 
-/** Format with fixed decimal places, e.g. formatFixed(1.234, 2) -> "1.23". */
+/**
+ * Format with fixed decimal places, e.g. formatFixed(1.234, 2) ->
+ * "1.23"; a value whose fixed form passes 63 characters prints in
+ * exponent form with the same decimals (formatFixed(1e300, 1) ->
+ * "1.0e+300").
+ */
 std::string formatFixed(double value, int decimals);
 
 /**

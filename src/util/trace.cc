@@ -3,11 +3,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <mutex>
 #include <vector>
 
 #include "util/logging.h"
+#include "util/output_file.h"
 
 namespace act::util {
 
@@ -60,21 +60,26 @@ class TraceCollector
     {
         std::lock_guard<std::mutex> lock(mutex_);
         events_.push_back(std::move(event));
+        unwritten_ = true;
     }
 
     void
     setFile(const std::string &path)
     {
+        flush(OutputFile::OnError::Fatal);
         std::lock_guard<std::mutex> lock(mutex_);
-        if (!path_.empty())
-            writeLocked();
         path_ = path;
         events_.clear();
+        unwritten_ = !path_.empty();
         detail::g_trace_enabled.store(!path_.empty(),
                                       std::memory_order_relaxed);
         if (!path_.empty() && !atexit_registered_) {
             atexit_registered_ = true;
-            std::atexit([] { flushTrace(); });
+            // exit() must not be re-entered from an atexit handler, so
+            // this last flush only warns.
+            std::atexit([] {
+                TraceCollector::instance().flush(OutputFile::OnError::Warn);
+            });
         }
     }
 
@@ -85,12 +90,29 @@ class TraceCollector
         return path_;
     }
 
+    /**
+     * Write the buffer to the current file unless nothing was recorded
+     * since the last write. The document is rendered under the lock and
+     * written outside it: a fatal write exits through the atexit flush,
+     * which takes the lock again and, finding nothing unwritten, leaves
+     * the file alone.
+     */
     void
-    flush()
+    flush(OutputFile::OnError on_error)
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!path_.empty())
-            writeLocked();
+        std::string path;
+        std::string body;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (path_.empty() || !unwritten_)
+                return;
+            unwritten_ = false;
+            path = path_;
+            body = renderLocked();
+        }
+        OutputFile out(std::move(path), on_error);
+        out.write(body);
+        out.close();
     }
 
   private:
@@ -141,14 +163,9 @@ class TraceCollector
         out += buffer;
     }
 
-    void
-    writeLocked()
+    std::string
+    renderLocked() const
     {
-        std::ofstream out(path_, std::ios::trunc);
-        if (!out) {
-            warn("cannot write trace file '", path_, "'");
-            return;
-        }
         std::string body;
         body.reserve(events_.size() * 96 + 192);
         body += "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
@@ -161,12 +178,8 @@ class TraceCollector
                 "\"args\":{\"wall_epoch_us\":";
         body += std::to_string(detail::traceWallEpochUs());
         body += "}}";
-        bool first = false;
         for (const TraceEvent &event : events_) {
-            if (!first)
-                body += ',';
-            first = false;
-            body += "{\"name\":\"";
+            body += ",{\"name\":\"";
             appendEscaped(body, event.name);
             body += "\",\"cat\":\"";
             appendEscaped(body, event.category);
@@ -185,12 +198,14 @@ class TraceCollector
             body += '}';
         }
         body += "]}\n";
-        out << body;
+        return body;
     }
 
     mutable std::mutex mutex_;
     std::string path_;
     std::vector<TraceEvent> events_;
+    /** Set by a new file or event, cleared when a write is attempted. */
+    bool unwritten_ = false;
     bool atexit_registered_ = false;
 };
 
@@ -289,7 +304,7 @@ traceFile()
 void
 flushTrace()
 {
-    TraceCollector::instance().flush();
+    TraceCollector::instance().flush(OutputFile::OnError::Fatal);
 }
 
 void

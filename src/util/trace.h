@@ -14,7 +14,10 @@
  * binaries / CLI, or `util::setTraceFile(path)`.
  *
  * Events are buffered in memory and written on `flushTrace()`, at
- * `setTraceFile()` changes, and automatically at process exit.
+ * `setTraceFile()` changes, and automatically at process exit. The
+ * first two go through util::OutputFile and are fatal when the file
+ * cannot be written; the exit flush only warns, and skips a file that
+ * nothing was recorded into since its last write.
  */
 
 #ifndef ACT_UTIL_TRACE_H
@@ -63,7 +66,8 @@ void setTraceFile(const std::string &path);
 /** The current trace file path; empty when tracing is off. */
 std::string traceFile();
 
-/** Write every buffered event to the current trace file. */
+/** Write every buffered event to the current trace file; fatal,
+ *  naming the path, when it cannot be written. */
 void flushTrace();
 
 /** Record a point-in-time ("ph":"i") event. */

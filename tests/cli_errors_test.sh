@@ -80,6 +80,15 @@ for i in 0 1 2; do
         exit 1
     fi
 done
+# One partial whose merged document is larger than the JSON writer's
+# 1 MiB buffer, so that writing it takes more than one flush.
+sed 's/"items": 3000/"items": 100000/' "$work/plan.json" > "$work/big_plan.json"
+if ! "$act" sweep --plan "$work/big_plan.json" --shards 1 --shard-index 0 \
+    --out "$work/big.json" > /dev/null ||
+    [ "$(wc -c < "$work/big.json")" -le 1048576 ]; then
+    echo "FAIL setup: cannot write a partial larger than 1 MiB"
+    exit 1
+fi
 head -c 200 "$work/part0.json" > "$work/truncated.json"
 sed 's/"chunks": *\[/"chunks": 1, "unused": [/' "$work/part0.json" \
     > "$work/chunks_not_array.json"
@@ -131,6 +140,28 @@ expect_fatal_naming "merge --metrics-prom into a missing directory" \
     "$work/missing/m.prom" "$act" merge "$work/metrics0.json" \
     "$work/metrics1.json" "$work/metrics2.json" \
     --metrics-prom "$work/missing/m.prom"
+
+# Trace profiles go through the same checked writer: the explicit
+# flush at the end of the command fails once, and the exit-time flush
+# does not repeat it.
+expect_fatal_naming "--trace to a full device" /dev/full \
+    "$act" cpa 7 --trace /dev/full
+expect_fatal_naming "--trace into a missing directory" \
+    "$work/missing/t.json" "$act" cpa 7 --trace "$work/missing/t.json"
+
+# Bad payloads are found before --out is written: no file is left.
+expect_fatal "merge with a wrong-shape payload and --out" \
+    "$act" merge "$work/part0.json" "$work/chunk_not_object.json" \
+    "$work/part2.json" --out "$work/bad_merge.json"
+if [ -e "$work/bad_merge.json" ]; then
+    echo "FAIL merge with a wrong-shape payload left its --out file"
+    failures=$((failures + 1))
+fi
+
+# A write that fails past the first buffer flush still ends in one
+# fatal naming the path.
+expect_fatal_naming "merge --out of a multi-flush document to a full device" \
+    /dev/full "$act" merge "$work/big.json" --out /dev/full
 
 if [ "$failures" -ne 0 ]; then
     echo "$failures case(s) failed"

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
@@ -142,6 +143,24 @@ printfOracle(double value)
     return buffer;
 }
 
+/** Count (and report the first few) values whose dump differs from
+ *  printfOracle(). */
+std::size_t
+oracleMismatches(const std::vector<double> &values)
+{
+    std::size_t mismatches = 0;
+    for (const double value : values) {
+        const std::string dumped = JsonValue(value).dump();
+        if (dumped != printfOracle(value) && ++mismatches <= 5) {
+            ADD_FAILURE() << "bits 0x" << std::hex
+                          << std::bit_cast<std::uint64_t>(value)
+                          << ": dump '" << dumped << "' vs printf '"
+                          << printfOracle(value) << "'";
+        }
+    }
+    return mismatches;
+}
+
 TEST(JsonNumberCodec, DumpMatchesPrintfOracleByteForByte)
 {
     std::vector<double> values = {
@@ -179,17 +198,51 @@ TEST(JsonNumberCodec, DumpMatchesPrintfOracleByteForByte)
                          1000.0);
     }
 
-    std::size_t mismatches = 0;
-    for (const double value : values) {
-        const std::string dumped = JsonValue(value).dump();
-        if (dumped != printfOracle(value) && ++mismatches <= 5) {
-            ADD_FAILURE() << "bits 0x" << std::hex
-                          << std::bit_cast<std::uint64_t>(value)
-                          << ": dump '" << dumped << "' vs printf '"
-                          << printfOracle(value) << "'";
+    EXPECT_EQ(oracleMismatches(values), 0u);
+}
+
+/**
+ * The integer fast path covers |v| in [1e-5, 1e17), which random bit
+ * patterns reach only ~3% of the time: sweep every binary exponent in
+ * it (plus one on each side) and the powers of ten at its seams.
+ */
+TEST(JsonNumberCodec, FastWindowMatchesPrintfOracle)
+{
+    std::vector<double> values;
+    util::Xorshift64Star rng(20260419u);
+    const int lowest = std::ilogb(1e-5) - 1;
+    const int highest = std::ilogb(1e17) + 1;
+    for (int exponent = lowest; exponent <= highest; ++exponent) {
+        const std::uint64_t biased =
+            static_cast<std::uint64_t>(exponent + 1023) << 52;
+        for (int i = 0; i < 2000; ++i) {
+            const std::uint64_t mantissa =
+                rng.next() & ((std::uint64_t{1} << 52) - 1);
+            const double value = std::bit_cast<double>(biased | mantissa);
+            values.push_back(value);
+            values.push_back(-value);
         }
     }
-    EXPECT_EQ(mismatches, 0u);
+    for (int k = -5; k <= 17; ++k) {
+        const double power =
+            std::strtod(("1e" + std::to_string(k)).c_str(), nullptr);
+        for (const double value :
+             {std::nextafter(power, 0.0), power,
+              std::nextafter(power, HUGE_VAL)}) {
+            values.push_back(value);
+            values.push_back(-value);
+        }
+    }
+    values.push_back(std::nextafter(1e17, 0.0));
+    EXPECT_EQ(oracleMismatches(values), 0u);
+
+    // Exact ties round half to even.
+    EXPECT_EQ(JsonValue(1234567890123456.25).dump(), "1234567890123456.2");
+    EXPECT_EQ(JsonValue(1234567890123456.75).dump(), "1234567890123456.8");
+    EXPECT_EQ(JsonValue(-1234567890123456.25).dump(),
+              "-1234567890123456.2");
+    EXPECT_EQ(oracleMismatches({1234567890123456.25, 1234567890123456.75}),
+              0u);
 }
 
 TEST(JsonNumberCodec, FiniteNumbersRoundTripBitForBit)

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 
@@ -248,6 +249,31 @@ TEST(JsonFile, FailedWriteIsFatal)
 {
     EXPECT_EXIT(saveJsonFile("/dev/full", JsonValue(1.0)),
                 ::testing::ExitedWithCode(1), "/dev/full");
+}
+
+TEST(JsonFile, StreamedSaveOfAMultiMegabyteDocumentEqualsDump)
+{
+    // Several flushes of saveJsonFile's ~1 MiB buffer, cut mid-array
+    // and mid-object.
+    JsonArray rows;
+    for (int i = 0; i < 100'000; ++i) {
+        JsonObject row;
+        row["index"] = JsonValue(i);
+        row["value"] = JsonValue(1.0 / (i + 3));
+        rows.emplace_back(std::move(row));
+    }
+    JsonObject object;
+    object["rows"] = JsonValue(std::move(rows));
+    const JsonValue document(std::move(object));
+    const std::string path =
+        ::testing::TempDir() + "/act_json_streamed.json";
+    saveJsonFile(path, document);
+
+    std::ifstream in(path, std::ios::binary);
+    const std::string written((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+    EXPECT_GT(written.size(), std::size_t{4} << 20);
+    EXPECT_EQ(written, document.dump(2) + "\n");
 }
 
 } // namespace

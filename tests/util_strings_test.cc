@@ -50,6 +50,18 @@ TEST(Strings, FormatFixed)
     EXPECT_EQ(formatFixed(3.0, 0), "3");
 }
 
+TEST(Strings, FormatFixedTooLongForFixedUsesExponent)
+{
+    // A fixed form past the 63-character buffer used to be cut short.
+    EXPECT_EQ(formatFixed(1e300, 1), "1.0e+300");
+    EXPECT_EQ(formatFixed(-1e300, 1), "-1.0e+300");
+    EXPECT_EQ(formatFixed(1e300, 0), "1e+300");
+    // Long but fitting values keep every digit.
+    EXPECT_EQ(formatFixed(1e20, 1), "100000000000000000000.0");
+    EXPECT_EQ(formatFixed(0x1p200, 0),
+              "1606938044258990275541962092341162602522202993782792835301376");
+}
+
 TEST(Strings, FormatSig)
 {
     EXPECT_EQ(formatSig(0.0, 3), "0");

@@ -554,14 +554,19 @@ cmdMerge(const Args &args)
     }
     const config::JsonValue merged =
         sweep::mergeShards(std::move(partials));
+    // Summarize (which reads every payload) and validate the telemetry
+    // before writing anything, so that bad input leaves no --out file.
+    const std::string summary =
+        sweep::findDomain(plan.domain)
+            .summarize(plan, merged.at("results").asArray());
+    for (const config::JsonValue &metrics : metric_docs)
+        obs::validateMetricsDoc(metrics);
     const std::string out = args.stringOr("out", "");
     if (!out.empty())
         config::saveJsonFile(out, merged);
 
     // Aggregate whatever telemetry the partials carried (absent
     // sections are fine -- shards may mix metrics on and off).
-    for (const config::JsonValue &metrics : metric_docs)
-        obs::validateMetricsDoc(metrics);
     const std::string metrics_out = args.stringOr("metrics-out", "");
     const std::string metrics_prom = args.stringOr("metrics-prom", "");
     if (!metric_docs.empty() || !metrics_out.empty() ||
@@ -580,9 +585,7 @@ cmdMerge(const Args &args)
         }
     }
 
-    std::cout << sweep::findDomain(plan.domain)
-                     .summarize(plan, merged.at("results").asArray())
-              << "\n";
+    std::cout << summary << "\n";
     return 0;
 }
 
