@@ -187,27 +187,6 @@ forceLevelOrSkip(benchmark::State &state, util::SimdLevel level)
     return true;
 }
 
-/** Multi-lane RNG fill (100k units) at a forced dispatch level. */
-void
-BM_XorshiftLanes(benchmark::State &state, util::SimdLevel level)
-{
-    if (!forceLevelOrSkip(state, level))
-        return;
-    constexpr std::size_t kUnits = 100'000;
-    std::vector<double> units(kUnits);
-    util::XorshiftLanes lanes{util::Xorshift64Star(42)};
-    for (auto _ : state) {
-        lanes.fillUnits(units.data(), kUnits);
-        benchmark::DoNotOptimize(units.data());
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(kUnits));
-    util::setSimdLevel(util::detectedSimdLevel());
-}
-BENCHMARK_CAPTURE(BM_XorshiftLanes, scalar, util::SimdLevel::Scalar);
-BENCHMARK_CAPTURE(BM_XorshiftLanes, avx2, util::SimdLevel::Avx2);
-
 /** EvalPlan::evaluateBatch over 100k samples (validation included)
  *  at a forced dispatch level. */
 void

@@ -597,6 +597,42 @@ JsonValue::numberOr(const std::string &key, double fallback) const
     return contains(key) ? at(key).asNumber() : fallback;
 }
 
+namespace {
+
+/** @p value.asInteger(), its error prefixed with member @p key. */
+std::int64_t
+memberInteger(const JsonValue &value, const std::string &key)
+{
+    try {
+        return value.asInteger();
+    } catch (const JsonTypeError &error) {
+        throw JsonTypeError("field '" + key + "': " + error.what());
+    }
+}
+
+} // namespace
+
+std::int64_t
+JsonValue::integerOr(const std::string &key, std::int64_t fallback) const
+{
+    return contains(key) ? memberInteger(at(key), key) : fallback;
+}
+
+std::uint64_t
+JsonValue::countAt(const std::string &key) const
+{
+    const std::int64_t count = memberInteger(at(key), key);
+    if (count < 0)
+        throw JsonTypeError("field '" + key + "' is negative");
+    return static_cast<std::uint64_t>(count);
+}
+
+std::uint64_t
+JsonValue::countOr(const std::string &key, std::uint64_t fallback) const
+{
+    return contains(key) ? countAt(key) : fallback;
+}
+
 bool
 JsonValue::boolOr(const std::string &key, bool fallback) const
 {

@@ -103,6 +103,18 @@ class JsonValue
 
     /** Object member access with a fallback default. */
     double numberOr(const std::string &key, double fallback) const;
+    /** As numberOr, through asInteger(); errors name @p key. */
+    std::int64_t integerOr(const std::string &key,
+                           std::int64_t fallback) const;
+    /**
+     * Member @p key as a count: an integral, non-negative number in
+     * range. Throws JsonTypeError naming @p key when it is absent,
+     * fractional, negative or out of range -- never casts a double.
+     */
+    std::uint64_t countAt(const std::string &key) const;
+    /** countAt(key), or @p fallback when @p key is absent. */
+    std::uint64_t countOr(const std::string &key,
+                          std::uint64_t fallback) const;
     bool boolOr(const std::string &key, bool fallback) const;
     std::string stringOr(const std::string &key,
                          const std::string &fallback) const;

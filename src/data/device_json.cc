@@ -1,6 +1,8 @@
 #include "data/device_json.h"
 
 #include <array>
+#include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "data/fab_db.h"
@@ -81,11 +83,14 @@ icFromJson(const JsonValue &value)
     ic.kind = kindFromString(value.at("kind").asString());
     ic.category =
         categoryFromString(value.stringOr("category", "other"));
-    ic.package_count =
-        static_cast<int>(value.numberOr("packages", 1.0));
-    if (ic.package_count < 1)
+    const std::int64_t packages = value.integerOr("packages", 1);
+    if (packages < 1)
         util::fatal("IC '", ic.name, "' has a non-positive package "
                     "count");
+    if (packages > std::numeric_limits<int>::max())
+        util::fatal("IC '", ic.name, "' has a package count out of "
+                    "range: ", packages);
+    ic.package_count = static_cast<int>(packages);
 
     if (ic.kind == IcKind::Logic) {
         if (!value.contains("area_mm2") || !value.contains("node_nm"))
@@ -172,8 +177,12 @@ deviceFromJson(const JsonValue &value)
 {
     DeviceRecord device;
     device.name = value.at("name").asString();
-    device.release_year =
-        static_cast<int>(value.numberOr("release_year", 0.0));
+    const std::int64_t year = value.integerOr("release_year", 0);
+    if (year < std::numeric_limits<int>::min() ||
+        year > std::numeric_limits<int>::max())
+        util::fatal("device '", device.name,
+                    "' has a release year out of range: ", year);
+    device.release_year = static_cast<int>(year);
     if (value.contains("ics")) {
         for (const auto &ic : value.at("ics").asArray())
             device.ics.push_back(icFromJson(ic));

@@ -45,20 +45,26 @@ sampleParameter(const UncertainParameter &parameter,
 }
 
 /**
- * Per-parameter sampling constants hoisted out of the chunk loop and
- * lowered to the util/simd transform descriptors. The precomputed
- * differences keep the scalar path's exact expression shapes:
- * `u * ba * ca` associates as `(u * ba) * ca`, matching
+ * Per-parameter sampling constants hoisted out of the chunk loop. The
+ * precomputed differences keep the scalar path's exact expression
+ * shapes: `u * ba * ca` associates as `(u * ba) * ca`, matching
  * `u * (b - a) * (c - a)` above, so every transformed value is
- * bit-identical to sampleParameter() on the same unit draw -- at
- * every SIMD dispatch level (the kernels are tested bitwise against
- * the scalar reference).
+ * bit-identical to sampleParameter() on the same unit draw. Uniform
+ * columns run the dispatched transform_uniform kernel (tested bitwise
+ * against its scalar reference); the triangular inverse CDF is the
+ * scalar loop below at every dispatch level.
  */
 struct ColumnSampler
 {
     Distribution distribution = Distribution::Uniform;
     util::simd::UniformTransform uniform;
-    util::simd::TriangularTransform triangular;
+    // Triangular over [a, b] with mode c.
+    double a = 0.0;
+    double b = 0.0;
+    double ba = 0.0;    ///< b - a
+    double ca = 0.0;    ///< c - a
+    double bc = 0.0;    ///< b - c
+    double pivot = 0.0; ///< (c - a) / (b - a)
 
     ColumnSampler() = default;
     explicit ColumnSampler(const UncertainParameter &parameter)
@@ -69,13 +75,13 @@ struct ColumnSampler
             uniform.ba = parameter.high - parameter.low;
             return;
         }
-        triangular.a = parameter.low;
-        triangular.b = parameter.high;
-        triangular.ba = parameter.high - parameter.low;
-        triangular.ca = parameter.baseline - parameter.low;
-        triangular.bc = parameter.high - parameter.baseline;
-        triangular.pivot = (parameter.baseline - parameter.low) /
-                           (parameter.high - parameter.low);
+        a = parameter.low;
+        b = parameter.high;
+        ba = parameter.high - parameter.low;
+        ca = parameter.baseline - parameter.low;
+        bc = parameter.high - parameter.baseline;
+        pivot = (parameter.baseline - parameter.low) /
+                (parameter.high - parameter.low);
     }
 
     /** Transform n unit draws (at @p stride doubles per sample) into
@@ -84,11 +90,17 @@ struct ColumnSampler
     apply(const util::simd::KernelTable &kernels, const double *units,
           std::size_t stride, std::size_t n, double *out) const
     {
-        if (distribution == Distribution::Uniform)
+        if (distribution == Distribution::Uniform) {
             kernels.transform_uniform(units, stride, n, uniform, out);
-        else
-            kernels.transform_triangular(units, stride, n, triangular,
-                                         out);
+            return;
+        }
+        for (std::size_t s = 0; s < n; ++s) {
+            const double u = units[s * stride];
+            if (u < pivot)
+                out[s] = a + std::sqrt(u * ba * ca);
+            else
+                out[s] = b - std::sqrt((1.0 - u) * ba * bc);
+        }
     }
 };
 
@@ -528,10 +540,10 @@ monteCarloPlanChunk(const std::vector<UncertainParameter> &parameters,
     // never returns.
     MonteCarloPartial partial;
     partial.outputs.resize(count);
-    util::XorshiftLanes lanes(rng);
     for (std::size_t offset = 0; offset < count; offset += block) {
         const std::size_t n = std::min(block, count - offset);
-        lanes.fillUnits(units, n * width);
+        for (std::size_t k = 0; k < n * width; ++k)
+            units[k] = rng.nextUnit();
         for (std::size_t i = 0; i < width; ++i) {
             samplers[i].apply(kernels, units + i, width, n,
                               scratch.column(i));
@@ -539,7 +551,6 @@ monteCarloPlanChunk(const std::vector<UncertainParameter> &parameters,
         plan.evaluateBatch(n, scratch.columns(),
                            partial.outputs.data() + offset);
     }
-    rng = lanes.scalar();
 
     for (const double output : partial.outputs) {
         partial.sum += output;

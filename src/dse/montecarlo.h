@@ -159,12 +159,13 @@ class MonteCarloScratch
 
 /**
  * Fused chunk kernel for compiled plans: samples sub-blocks of the
- * chunk directly into SoA columns (multi-lane RNG fill + vectorized
- * inverse-CDF transforms) and evaluates each sub-block with
- * EvalPlan::evaluateBatch while the columns are still in L1, instead
- * of materializing the whole chunk and re-reading it. RNG consumption
- * order, sampled values, and outputs are bit-identical to
- * monteCarloChunk() (the scalar oracle) at every SIMD dispatch level.
+ * chunk directly into SoA columns (one unit buffer filled from
+ * @p rng, then per-column inverse-CDF transforms) and evaluates each
+ * sub-block with EvalPlan::evaluateBatch while the columns are still
+ * in L1, instead of materializing the whole chunk and re-reading it.
+ * RNG consumption order, sampled values, and outputs are
+ * bit-identical to monteCarloChunk() (the scalar oracle) at every
+ * SIMD dispatch level.
  * The cpa_montecarlo sweep domain and monteCarloBatch() route through
  * this; it is the hottest loop in the tree.
  */

@@ -666,12 +666,9 @@ FleetAccumulator
 fleetAccumulatorFromJson(const config::JsonValue &value)
 {
     FleetAccumulator accumulator;
-    accumulator.jobs =
-        static_cast<std::uint64_t>(value.at("jobs").asNumber());
-    accumulator.deferred =
-        static_cast<std::uint64_t>(value.at("deferred").asNumber());
-    accumulator.migrated =
-        static_cast<std::uint64_t>(value.at("migrated").asNumber());
+    accumulator.jobs = value.countAt("jobs");
+    accumulator.deferred = value.countAt("deferred");
+    accumulator.migrated = value.countAt("migrated");
     accumulator.operational_g = value.at("operational_g").asNumber();
     accumulator.embodied_g = value.at("embodied_g").asNumber();
     accumulator.energy_kwh = value.at("energy_kwh").asNumber();

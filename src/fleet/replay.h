@@ -140,7 +140,9 @@ std::vector<FleetAccumulator> replayJobs(const FleetSetup &setup,
 std::vector<FleetAccumulator>
 replayJobsOracle(const FleetSetup &setup, util::IndexRange range);
 
-/** Chunk payload codec (bit-exact doubles, exact counts). */
+/** Chunk payload codec (bit-exact doubles, exact counts). The reader
+ *  throws config::JsonTypeError on a count that is not an integral,
+ *  non-negative number in range. */
 config::JsonValue toJson(const FleetAccumulator &accumulator);
 FleetAccumulator fleetAccumulatorFromJson(const config::JsonValue &value);
 

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "util/logging.h"
+#include "util/output_file.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -49,26 +50,6 @@ toJson(const Heartbeat &heartbeat)
     return JsonValue(std::move(object));
 }
 
-namespace {
-
-/** A count field: absent gives @p fallback; present must be an
- *  integral, non-negative number in range (JsonValue::asInteger's
- *  checks), else JsonTypeError. */
-std::uint64_t
-countOr(const JsonValue &value, const std::string &key,
-        std::uint64_t fallback)
-{
-    if (!value.contains(key))
-        return fallback;
-    const std::int64_t count = value.at(key).asInteger();
-    if (count < 0)
-        throw config::JsonTypeError("heartbeat field '" + key +
-                                    "' is negative");
-    return static_cast<std::uint64_t>(count);
-}
-
-} // namespace
-
 Heartbeat
 heartbeatFromJson(const JsonValue &value)
 {
@@ -78,12 +59,12 @@ heartbeatFromJson(const JsonValue &value)
                     "', expected '", kHeartbeatFormat, "')");
     Heartbeat heartbeat;
     heartbeat.domain = value.stringOr("domain", "");
-    heartbeat.shard_index = countOr(value, "shard_index", 0);
-    heartbeat.shard_count = countOr(value, "shard_count", 1);
-    heartbeat.items_done = countOr(value, "items_done", 0);
-    heartbeat.items_total = countOr(value, "items_total", 0);
-    heartbeat.chunks_done = countOr(value, "chunks_done", 0);
-    heartbeat.chunks_total = countOr(value, "chunks_total", 0);
+    heartbeat.shard_index = value.countOr("shard_index", 0);
+    heartbeat.shard_count = value.countOr("shard_count", 1);
+    heartbeat.items_done = value.countOr("items_done", 0);
+    heartbeat.items_total = value.countOr("items_total", 0);
+    heartbeat.chunks_done = value.countOr("chunks_done", 0);
+    heartbeat.chunks_total = value.countOr("chunks_total", 0);
     heartbeat.items_per_sec = value.numberOr("items_per_sec", 0.0);
     heartbeat.rss_mb = value.numberOr("rss_mb", 0.0);
     heartbeat.start_wall_s = value.numberOr("start_wall_s", 0.0);
@@ -159,15 +140,19 @@ HeartbeatWriter::HeartbeatWriter(std::string path, double interval_s)
           std::max(0.0, interval_s) * 1e9))
 {}
 
+bool
+HeartbeatWriter::due() const
+{
+    return steadyNowNs() -
+               last_write_ns_.load(std::memory_order_relaxed) >=
+           interval_ns_;
+}
+
 void
 HeartbeatWriter::beat(const Heartbeat &heartbeat, bool force)
 {
-    const std::uint64_t now = steadyNowNs();
-    if (!force &&
-        now - last_write_ns_.load(std::memory_order_relaxed) <
-            interval_ns_) {
+    if (!force && !due())
         return;
-    }
     // One writer at a time; a contended non-forced beat just skips --
     // another thread is already writing a fresher document.
     std::unique_lock<std::mutex> lock(write_mutex_, std::defer_lock);
@@ -176,27 +161,16 @@ HeartbeatWriter::beat(const Heartbeat &heartbeat, bool force)
     } else if (!lock.try_lock()) {
         return;
     }
-    if (!force &&
-        now - last_write_ns_.load(std::memory_order_relaxed) <
-            interval_ns_) {
+    if (!force && !due())
         return; // another thread wrote while we waited
-    }
     // Atomic temp + rename: a reader never sees a torn document. A
     // failed write warns and keeps the sweep running -- heartbeats are
     // telemetry, never load-bearing.
     const std::string temp = path_ + ".tmp";
-    {
-        std::ofstream out(temp, std::ios::trunc);
-        if (!out) {
-            util::warn("cannot write heartbeat file '", temp, "'");
-            return;
-        }
-        out << toJson(heartbeat).dump(2) << '\n';
-        if (!out) {
-            util::warn("short write to heartbeat file '", temp, "'");
-            return;
-        }
-    }
+    util::OutputFile out(temp, util::OutputFile::OnError::Warn);
+    out.write(toJson(heartbeat).dump(2) + '\n');
+    if (!out.close())
+        return;
     if (std::rename(temp.c_str(), path_.c_str()) != 0) {
         std::remove(temp.c_str());
         util::warn("cannot rename heartbeat file into place at '",

@@ -102,6 +102,11 @@ class HeartbeatWriter
   public:
     HeartbeatWriter(std::string path, double interval_s);
 
+    /** True when the interval since the last write has elapsed, so a
+     *  non-forced beat() would write. Lets callers skip building a
+     *  beat the gate would drop. */
+    bool due() const;
+
     /** Write @p heartbeat if the interval elapsed (or @p force). */
     void beat(const Heartbeat &heartbeat, bool force = false);
 

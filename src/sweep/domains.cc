@@ -1,5 +1,7 @@
 #include "sweep/domains.h"
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -399,14 +401,14 @@ summarizeAccel(const SweepPlan &, const JsonArray &results)
     std::size_t count = 0;
     double best_g = 0.0;
     double best_node = 0.0;
-    double best_macs = 0.0;
+    std::uint64_t best_macs = 0;
     for (const JsonValue &chunk : results) {
         for (const JsonValue &point : chunk.asArray()) {
             const double grams = point.at("embodied_g").asNumber();
             if (count == 0 || grams < best_g) {
                 best_g = grams;
                 best_node = point.at("node_nm").asNumber();
-                best_macs = point.at("macs").asNumber();
+                best_macs = point.countAt("macs");
             }
             ++count;
         }
@@ -415,7 +417,7 @@ summarizeAccel(const SweepPlan &, const JsonArray &results)
     out << "NPU design space, " << count
         << " configurations: minimum embodied "
         << util::formatSig(best_g, 3) << " g CO2 ("
-        << static_cast<int>(best_macs) << " MACs @ "
+        << best_macs << " MACs @ "
         << util::formatSig(best_node, 3) << " nm)\n";
     return out.str();
 }
@@ -453,10 +455,15 @@ parseChipletConfig(const SweepPlan &plan)
         util::fatal(
             "chiplet config needs a positive 'logic_area_mm2'");
     parsed.node_nm = plan.config.numberOr("node_nm", 7.0);
-    parsed.max_chiplets = static_cast<int>(
-        plan.config.numberOr("max_chiplets", 8.0));
-    if (parsed.max_chiplets < 1)
-        util::fatal("chiplet config 'max_chiplets' must be >= 1");
+    const std::int64_t max_chiplets =
+        plan.config.integerOr("max_chiplets", 8);
+    if (max_chiplets < 1 ||
+        max_chiplets > std::numeric_limits<int>::max()) {
+        util::fatal("chiplet config 'max_chiplets' must be in [1, ",
+                    std::numeric_limits<int>::max(), "], got ",
+                    max_chiplets);
+    }
+    parsed.max_chiplets = static_cast<int>(max_chiplets);
     parsed.interface_overhead =
         plan.config.numberOr("interface_overhead", 0.10);
     if (parsed.interface_overhead < 0.0)
@@ -610,15 +617,14 @@ summarizeChiplet(const SweepPlan &, const JsonArray &results)
     std::size_t count = 0;
     double best_g = 0.0;
     std::string best_style;
-    int best_dies = 0;
+    std::uint64_t best_dies = 0;
     for (const JsonValue &chunk : results) {
         for (const JsonValue &point : chunk.asArray()) {
             const double grams = point.at("total_g").asNumber();
             if (count == 0 || grams < best_g) {
                 best_g = grams;
                 best_style = point.at("style").asString();
-                best_dies = static_cast<int>(
-                    point.at("num_dies").asNumber());
+                best_dies = point.countAt("num_dies");
             }
             ++count;
         }
@@ -674,13 +680,32 @@ fleetEvaluator(const SweepPlan &plan)
     };
 }
 
+/** Fold a fleet result's chunk payloads, in order, into one
+ *  accumulator per scenario of a @p scenarios-wide grid. */
+std::vector<fleet::FleetAccumulator>
+foldFleetPayloads(std::size_t scenarios, const JsonArray &results)
+{
+    std::vector<fleet::FleetAccumulator> totals(scenarios);
+    for (const JsonValue &chunk : results) {
+        const JsonArray &payload = chunk.asArray();
+        if (payload.size() != totals.size()) {
+            util::fatal("fleet chunk payload carries ", payload.size(),
+                        " scenarios but the plan's grid has ",
+                        totals.size());
+        }
+        for (std::size_t s = 0; s < totals.size(); ++s)
+            totals[s].add(fleet::fleetAccumulatorFromJson(payload[s]));
+    }
+    return totals;
+}
+
 std::string
 summarizeFleet(const SweepPlan &plan, const JsonArray &results)
 {
     const fleet::FleetSetup setup =
         fleet::fleetSetupFromJson(plan.config, plan.seed);
     const std::vector<fleet::FleetAccumulator> totals =
-        fleetResultFromPayloads(plan, results);
+        foldFleetPayloads(setup.scenarios.size(), results);
     std::ostringstream out;
     out << "fleet replay, "
         << (totals.empty() ? 0 : totals.front().jobs) << " jobs x "
@@ -738,20 +763,10 @@ std::vector<fleet::FleetAccumulator>
 fleetResultFromPayloads(const SweepPlan &plan,
                         const config::JsonArray &results)
 {
-    const fleet::FleetSetup setup =
-        fleet::fleetSetupFromJson(plan.config, plan.seed);
-    std::vector<fleet::FleetAccumulator> totals(setup.scenarios.size());
-    for (const JsonValue &chunk : results) {
-        const JsonArray &payload = chunk.asArray();
-        if (payload.size() != totals.size()) {
-            util::fatal("fleet chunk payload carries ", payload.size(),
-                        " scenarios but the plan's grid has ",
-                        totals.size());
-        }
-        for (std::size_t s = 0; s < totals.size(); ++s)
-            totals[s].add(fleet::fleetAccumulatorFromJson(payload[s]));
-    }
-    return totals;
+    return foldFleetPayloads(
+        fleet::fleetSetupFromJson(plan.config, plan.seed)
+            .scenarios.size(),
+        results);
 }
 
 const Domain &

@@ -92,6 +92,11 @@ struct HeartbeatState
     void
     publish(bool force, bool done)
     {
+        // Gate before measuring: most chunks end inside the interval,
+        // and reading RSS from /proc costs more than the chunk's
+        // bookkeeping.
+        if (!force && !writer.due())
+            return;
         obs::Heartbeat heartbeat = base;
         heartbeat.items_done =
             items_done.load(std::memory_order_relaxed);

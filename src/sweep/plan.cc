@@ -47,20 +47,10 @@ seedToJson(std::uint64_t seed)
     return JsonValue(std::string(buffer));
 }
 
-/** @p value as an integer; fatal naming @p key when it is not one. */
-std::int64_t
-integerField(const JsonValue &value, const std::string &key)
-{
-    try {
-        return value.asInteger();
-    } catch (const config::JsonTypeError &error) {
-        util::fatal("sweep plan '", key, "': ", error.what());
-    }
-}
-
 std::uint64_t
-seedFromJson(const JsonValue &value)
+seedFromJson(const JsonValue &plan)
 {
+    const JsonValue &value = plan.at("seed");
     if (value.isString()) {
         const std::string &text = value.asString();
         char *tail = nullptr;
@@ -71,23 +61,7 @@ seedFromJson(const JsonValue &value)
                         "' is not an unsigned integer");
         return parsed;
     }
-    const std::int64_t seed = integerField(value, "seed");
-    if (seed < 0)
-        util::fatal("sweep plan seed must be non-negative, got ", seed);
-    return static_cast<std::uint64_t>(seed);
-}
-
-std::size_t
-sizeField(const JsonValue &value, const std::string &key,
-          std::size_t fallback)
-{
-    if (!value.contains(key))
-        return fallback;
-    const std::int64_t parsed = integerField(value.at(key), key);
-    if (parsed < 0)
-        util::fatal("sweep plan '", key, "' must be non-negative, got ",
-                    parsed);
-    return static_cast<std::size_t>(parsed);
+    return plan.countAt("seed");
 }
 
 } // namespace
@@ -114,10 +88,10 @@ sweepPlanFromJson(const JsonValue &value)
     plan.domain = value.at("domain").asString();
     if (plan.domain.empty())
         util::fatal("sweep plan 'domain' must not be empty");
-    plan.items = sizeField(value, "items", 0);
-    plan.grain = sizeField(value, "grain", 0);
+    plan.items = value.countOr("items", 0);
+    plan.grain = value.countOr("grain", 0);
     if (value.contains("seed"))
-        plan.seed = seedFromJson(value.at("seed"));
+        plan.seed = seedFromJson(value);
     plan.fingerprint = value.stringOr("fingerprint", "");
     if (value.contains("config"))
         plan.config = value.at("config");

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "util/logging.h"
-#include "util/simd_kernels.h"
 
 namespace act::util {
 
@@ -31,23 +30,6 @@ deriveSeed(std::uint64_t base, std::uint64_t stream)
     const std::uint64_t mixed =
         base + (stream + 1) * 0x9E3779B97F4A7C15ULL;
     return splitMix64Finalize(splitMix64Finalize(mixed));
-}
-
-Xorshift64Star
-Xorshift64Star::fromState(std::uint64_t state)
-{
-    // state == 0 is the xorshift fixed point; remap it the way the
-    // constructor remaps seed 0 (0 | 1 == 1) rather than hand back a
-    // generator stuck on zero.
-    Xorshift64Star rng;
-    rng.state_ = (state != 0) ? state : 1;
-    return rng;
-}
-
-void
-XorshiftLanes::fillUnits(double *dst, std::size_t n)
-{
-    state_ = simd::activeKernels().fill_units(state_, dst, n);
 }
 
 std::uint64_t

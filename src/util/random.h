@@ -10,7 +10,6 @@
 #ifndef ACT_UTIL_RANDOM_H
 #define ACT_UTIL_RANDOM_H
 
-#include <cstddef>
 #include <cstdint>
 
 namespace act::util {
@@ -39,22 +38,6 @@ class Xorshift64Star
     explicit Xorshift64Star(std::uint64_t seed = 42)
         : state_(seed | 1)
     {}
-
-    /** Raw generator state, for handoff to XorshiftLanes and back. */
-    std::uint64_t
-    state() const
-    {
-        return state_;
-    }
-
-    /**
-     * Rebuild a generator positioned at a raw @p state (the inverse
-     * of state()). The all-zero state -- unreachable through the
-     * constructor but representable here -- is remapped to 1, exactly
-     * what the constructor does for seed 0, instead of becoming a
-     * silent stream of zeros.
-     */
-    static Xorshift64Star fromState(std::uint64_t state);
 
     /** Next raw 64-bit value. Inline: this is the innermost call of
      *  every Monte Carlo sampling loop. */
@@ -103,42 +86,6 @@ class Xorshift64Star
     std::uint64_t state_;
     bool have_spare_ = false;
     double spare_ = 0.0;
-};
-
-/**
- * Multi-lane view of a Xorshift64Star stream: emits the generator's
- * nextUnit() sequence -- the exact scalar values, in the exact scalar
- * order -- but in bulk, through the active SIMD dispatch level
- * (util/simd.h). Lanes advance independent sub-states that are
- * interleaved back into scalar consumption order, with a scalar tail
- * for ragged lengths, so chunk/shard/seed contracts built on the
- * scalar generator survive bit-identically at any width.
- *
- * Usage: construct from a positioned generator, fillUnits() any
- * number of times, then scalar() to get a generator positioned as if
- * nextUnit() had been called once per emitted value. Only the uniform
- * stream is lane-accelerated; Box-Muller state (nextNormal's spare)
- * does not transfer and must be drained before handoff.
- */
-class XorshiftLanes
-{
-  public:
-    explicit XorshiftLanes(const Xorshift64Star &rng)
-        : state_(rng.state())
-    {}
-
-    /** Emit the next @p n nextUnit() values into @p dst. */
-    void fillUnits(double *dst, std::size_t n);
-
-    /** The equivalent scalar generator at the current position. */
-    Xorshift64Star
-    scalar() const
-    {
-        return Xorshift64Star::fromState(state_);
-    }
-
-  private:
-    std::uint64_t state_;
 };
 
 } // namespace act::util

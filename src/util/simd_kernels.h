@@ -1,13 +1,20 @@
 /**
  * @file
- * Internal kernel table behind util/simd.h: the batch kernels the
- * Monte Carlo and fleet replay hot paths need (unit-stream RNG fill,
- * uniform and triangular inverse-CDF transforms, the Eq. 5 ratio
- * kernel, multi-stream job draws, the grid-power transform, and the
- * fleet window-cost/argmin pair), as per-level tables of function
- * pointers. Problem descriptors are plain PODs so the per-level
- * translation units -- one of which is compiled with -mavx2 -- depend
- * on nothing above util.
+ * Internal kernel table behind util/simd.h: the batch kernels of the
+ * fleet replay hot path (multi-stream job draws, the uniform
+ * transform, the grid-power transform, and the window-cost/argmin
+ * pair), the Eq. 5 ratio kernel behind EvalPlan::evaluateBatch, and
+ * the range scan EvalPlan validation runs, as per-level tables of
+ * function pointers. Only the three window kernels (power_grid_kw,
+ * window_costs, argmin_first) have an end-to-end measurement behind
+ * them (fleet_year, ROADMAP item 3(c)); the ratio kernel, all_within,
+ * job_units and transform_uniform are kept unmeasured. The
+ * Monte Carlo sampling loops (unit fill, triangular transform) are
+ * plain scalar code in their callers, because vectorizing them moved
+ * the mc_sharded workload by less than its noise (DESIGN.md §11).
+ * Problem descriptors are plain PODs so the per-level translation
+ * units -- one of which is compiled with -mavx2 -- depend on nothing
+ * above util.
  *
  * The scalar table is the semantic reference: each vector kernel must
  * reproduce its outputs bit-for-bit on every input (tested in
@@ -34,21 +41,6 @@ struct UniformTransform
 {
     double a = 0.0;
     double ba = 0.0;
-};
-
-/**
- * Triangular over [a, b] with mode c, inverse-CDF sampled. The
- * precomputed differences keep the scalar sampler's exact expression
- * shapes: `u * ba * ca` associates as `(u * ba) * ca`.
- */
-struct TriangularTransform
-{
-    double a = 0.0;
-    double b = 0.0;
-    double ba = 0.0;    ///< b - a
-    double ca = 0.0;    ///< c - a
-    double bc = 0.0;    ///< b - c
-    double pivot = 0.0; ///< (c - a) / (b - a)
 };
 
 /** Grid-power transform: out = (idle_w + span_w * u) / 1000 * pue,
@@ -124,26 +116,10 @@ struct RatioTerms
  */
 struct KernelTable
 {
-    /**
-     * Emit the next @p n values of Xorshift64Star::nextUnit() for the
-     * generator whose raw state is @p state, and return the state the
-     * scalar generator would hold after those n next() calls. The
-     * vector levels run lane-interleaved blocks with a scalar tail;
-     * the emitted sequence is the scalar sequence exactly.
-     */
-    std::uint64_t (*fill_units)(std::uint64_t state, double *dst,
-                                std::size_t n);
-
     /** out[s] = a + ba * units[s * stride] for s in [0, n). */
     void (*transform_uniform)(const double *units, std::size_t stride,
                               std::size_t n, const UniformTransform &tr,
                               double *out);
-
-    /** Triangular inverse CDF of units[s * stride] into out[s]. */
-    void (*transform_triangular)(const double *units,
-                                 std::size_t stride, std::size_t n,
-                                 const TriangularTransform &tr,
-                                 double *out);
 
     /** The Eq. 5 ratio kernel over n samples into out. Performs no
      *  validation; callers run the range checks first. */
@@ -163,10 +139,10 @@ struct KernelTable
     /**
      * Emit @p draws nextUnit() values for each of @p jobs independent
      * xorshift64* streams, draw-major: out[d * jobs + j] is draw d of
-     * the stream whose raw state is states[j]. Lane = stream, so no
-     * jumps are needed -- each lane steps its own state exactly like
-     * the scalar generator. States must be nonzero (Xorshift64Star's
-     * constructor guarantees this via `| 1`).
+     * the stream whose raw state is states[j]. Lane = stream: each
+     * lane steps its own state exactly like the scalar generator.
+     * States must be nonzero (Xorshift64Star's constructor guarantees
+     * this via `| 1`).
      */
     void (*job_units)(const std::uint64_t *states, std::size_t jobs,
                       std::size_t draws, double *out);
@@ -186,17 +162,6 @@ struct KernelTable
      */
     std::size_t (*argmin_first)(const double *p, std::size_t n);
 };
-
-/**
- * Advance a raw xorshift64* state by @p steps applications of the
- * state update (the update is linear over GF(2), so f^steps is a
- * 64x64 bit-matrix power, built by square-and-multiply and applied in
- * O(64^2)). A small per-thread cache keyed on @p steps makes repeated
- * jumps of the same distance -- the fill kernels' segment starts --
- * cost only the O(64^2) apply. Exact: returns the same state as
- * calling the update @p steps times.
- */
-std::uint64_t xorshiftJump(std::uint64_t state, std::uint64_t steps);
 
 /** The scalar reference kernels (always available). */
 const KernelTable &scalarKernels();

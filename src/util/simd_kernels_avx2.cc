@@ -13,8 +13,8 @@
  * The kernels are width-generic templates over a lane-type policy
  * `L` (LanesAvx2 below). Bit-identity rules: every expression keeps
  * the scalar kernel's association and operation set -- no FMA, no
- * reassociation, no fast-math identities. Vector add/sub/mul/div/sqrt
- * are IEEE-754 correctly rounded per lane, so equal expression shapes
+ * reassociation, no fast-math identities. Vector add/sub/mul/div are
+ * IEEE-754 correctly rounded per lane, so equal expression shapes
  * give equal bits.
  *
  * The fiddly parts of the policy:
@@ -27,7 +27,7 @@
  *    2^52 magic-number trick, recombine as hi * 2^32 + lo (exact:
  *    hi * 2^32 needs <= 21 significand bits, the sum <= 53). The
  *    final * 2^-53 is a power-of-two scale, also exact.
- *  - std::max(0.0, x) and `u < pivot ? a : b` replicated with
+ *  - std::max(0.0, x) and the argmin's strict `<` replicated with
  *    compare + blend so NaN and signed-zero lanes behave exactly like
  *    the scalar operators.
  *
@@ -39,11 +39,9 @@
  *   loadStride(const double*, s)    gather p[0], p[s], p[2s], ...
  *   storeu(double*, VF)
  *   add/sub/mul/div(VF, VF) -> VF
- *   sqrt(VF) -> VF
  *   max0(VF) -> VF                  per-lane std::max(0.0, x) semantics
  *   blendLess(u, pivot, lo, hi)     per-lane u < pivot ? lo : hi
  *   fromLanes(const uint64_t*) -> VU
- *   lane0(VU) -> uint64_t
  *   xorshiftStep(VU) -> VU          the three xor-shift state updates
  *   mulM(VU) -> VU                  lane-wise * kXorshiftMultiplier
  *   unitFromValue(VU) -> VF         exact double((v >> 11)) * 2^-53
@@ -51,7 +49,6 @@
  *   allLanes(VF mask) -> bool       every lane of the mask set
  */
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -86,83 +83,6 @@ scalarXorshiftUnit(std::uint64_t state)
            0x1.0p-53;
 }
 
-/** Minimum per-lane segment length for the segment-split fill path;
- *  below it the jump-matrix applications outweigh the chain win. */
-inline constexpr std::size_t kSegmentSplitMin = 64;
-
-/**
- * Unit-stream fill, two strategies by size, both emitting exactly the
- * scalar sequence (f is the xorshift update, v_k the k-th nextUnit()).
- *
- * Large n (segment >= kSegmentSplitMin): segment-split. The first
- * W*(n/W) values are cut into W equal segments and lane j starts at
- * f^(j*seg) via the GF(2) jump (xorshiftJump), so one vector f-step
- * advances all W segments at once -- the serial f-chain, the
- * bottleneck of the interleaved path, shrinks by W. Lane j's t-th
- * output is v_{j*seg + t + 1}, stored straight into its segment
- * through a W-wide spill (store-forwarded, no shuffle network
- * needed). The tail and returned state resume from f^(W*seg), one
- * cached jump from lane W-1's start.
- *
- * Small n: lane-interleaved blocks. Lane j of the state vector holds
- * f^(t*W + j); each block applies vector-f once -- the W lane outputs
- * are consecutive scalar values v_{t*W+1} .. v_{t*W+W} in lane order
- * -- then f another W-1 times to restore the invariant. The serial
- * chain runs at scalar cost; the win is vectorizing the output
- * multiply, the exact int->double conversion, and the downstream
- * transforms. Lane 0 tracks the scalar generator at block boundaries,
- * so the ragged tail (and returned state) is plain scalar stepping.
- */
-template <class L>
-std::uint64_t
-fillUnitsT(std::uint64_t state, double *dst, std::size_t n)
-{
-    constexpr std::size_t W = L::kLanes;
-    const std::size_t seg = n / W;
-    if (seg >= kSegmentSplitMin) {
-        std::uint64_t lane[W];
-        lane[0] = state;
-        for (std::size_t j = 1; j < W; ++j)
-            lane[j] = xorshiftJump(lane[j - 1], seg);
-        typename L::VU v = L::fromLanes(lane);
-        double spill[W];
-        for (std::size_t t = 0; t < seg; ++t) {
-            v = L::xorshiftStep(v);
-            L::storeu(spill, L::unitFromValue(L::mulM(v)));
-            for (std::size_t j = 0; j < W; ++j)
-                dst[j * seg + t] = spill[j];
-        }
-        state = xorshiftJump(lane[W - 1], seg);
-        for (std::size_t filled = W * seg; filled < n; ++filled) {
-            state = scalarXorshiftStep(state);
-            dst[filled] = scalarXorshiftUnit(state);
-        }
-        return state;
-    }
-    std::size_t filled = 0;
-    if (n >= 2 * W) {
-        std::uint64_t lane[W];
-        lane[0] = state;
-        for (std::size_t j = 1; j < W; ++j)
-            lane[j] = scalarXorshiftStep(lane[j - 1]);
-        typename L::VU v = L::fromLanes(lane);
-        const std::size_t blocks = n / W;
-        for (std::size_t b = 0; b < blocks; ++b) {
-            v = L::xorshiftStep(v);
-            L::storeu(dst + b * W, L::unitFromValue(L::mulM(v)));
-            for (std::size_t k = 1; k < W; ++k)
-                v = L::xorshiftStep(v);
-        }
-        state = L::lane0(v);
-        filled = blocks * W;
-    }
-    for (; filled < n; ++filled) {
-        state = scalarXorshiftStep(state);
-        dst[filled] = scalarXorshiftUnit(state);
-    }
-    return state;
-}
-
 /** Load kLanes consecutive samples of a unit column that is laid out
  *  at @p stride doubles per sample (1 = contiguous, otherwise the
  *  sample-major interleave the fused Monte Carlo chunk produces). */
@@ -191,42 +111,6 @@ transformUniformT(const double *units, std::size_t stride,
     }
     for (; s < n; ++s)
         out[s] = tr.a + tr.ba * units[s * stride];
-}
-
-template <class L>
-void
-transformTriangularT(const double *units, std::size_t stride,
-                     std::size_t n, const TriangularTransform &tr,
-                     double *out)
-{
-    constexpr std::size_t W = L::kLanes;
-    const typename L::VF va = L::bcast(tr.a);
-    const typename L::VF vb = L::bcast(tr.b);
-    const typename L::VF vba = L::bcast(tr.ba);
-    const typename L::VF vca = L::bcast(tr.ca);
-    const typename L::VF vbc = L::bcast(tr.bc);
-    const typename L::VF vpivot = L::bcast(tr.pivot);
-    const typename L::VF vone = L::bcast(1.0);
-    std::size_t s = 0;
-    for (; s + W <= n; s += W) {
-        const typename L::VF u = loadUnitsT<L>(units, stride, s);
-        // Both branches of the scalar `u < pivot` are evaluated and
-        // blended; each keeps its scalar association -- (u * ba) * ca
-        // and ((1 - u) * ba) * bc -- and sqrt of a non-negative
-        // operand never traps, so the untaken lane is harmless.
-        const typename L::VF low =
-            L::add(va, L::sqrt(L::mul(L::mul(u, vba), vca)));
-        const typename L::VF high = L::sub(
-            vb, L::sqrt(L::mul(L::mul(L::sub(vone, u), vba), vbc)));
-        L::storeu(out + s, L::blendLess(u, vpivot, low, high));
-    }
-    for (; s < n; ++s) {
-        const double u = units[s * stride];
-        if (u < tr.pivot)
-            out[s] = tr.a + std::sqrt(u * tr.ba * tr.ca);
-        else
-            out[s] = tr.b - std::sqrt((1.0 - u) * tr.ba * tr.bc);
-    }
 }
 
 template <class L>
@@ -595,11 +479,6 @@ struct LanesAvx2
         return _mm256_div_pd(a, b);
     }
     static VF
-    sqrt(VF a)
-    {
-        return _mm256_sqrt_pd(a);
-    }
-    static VF
     max0(VF a)
     {
         // vmaxpd(a, 0): second operand on NaN and the (+0, -0) tie,
@@ -630,12 +509,6 @@ struct LanesAvx2
     {
         return _mm256_loadu_si256(
             reinterpret_cast<const __m256i *>(lane));
-    }
-    static std::uint64_t
-    lane0(VU v)
-    {
-        return static_cast<std::uint64_t>(
-            _mm_cvtsi128_si64(_mm256_castsi256_si128(v)));
     }
     static VU
     xorshiftStep(VU x)
@@ -689,9 +562,7 @@ const KernelTable *
 avx2Kernels()
 {
     static const KernelTable table = {
-        &fillUnitsT<LanesAvx2>,
         &transformUniformT<LanesAvx2>,
-        &transformTriangularT<LanesAvx2>,
         &evalRatioT<LanesAvx2>,
         &allWithinT<LanesAvx2>,
         &jobUnitsT<LanesAvx2>,

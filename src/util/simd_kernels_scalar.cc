@@ -3,12 +3,11 @@
  * The scalar kernel table: the semantic reference every vector level
  * must match bit-for-bit. These loops are verbatim transcriptions of
  * the code they replaced -- Xorshift64Star::nextUnit() consumption,
- * the compiled Monte Carlo samplers, and the EvalPlan::evaluateBatch
- * compute loops -- so "matches the scalar kernel" continues to mean
- * "matches the pre-SIMD tree".
+ * the fleet replayer's per-job transforms and window scans, and the
+ * EvalPlan::evaluateBatch ratio and validation loops -- so "matches
+ * the scalar kernel" continues to mean "matches the pre-SIMD tree".
  */
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -18,22 +17,6 @@ namespace act::util::simd {
 
 namespace {
 
-std::uint64_t
-fillUnitsScalar(std::uint64_t state, double *dst, std::size_t n)
-{
-    // Xorshift64Star::next() split into state update + output
-    // multiply; the cast is exact (operand < 2^53).
-    for (std::size_t i = 0; i < n; ++i) {
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        dst[i] = static_cast<double>(
-                     (state * kXorshiftMultiplier) >> 11) *
-                 0x1.0p-53;
-    }
-    return state;
-}
-
 void
 transformUniformScalar(const double *units, std::size_t stride,
                        std::size_t n, const UniformTransform &tr,
@@ -41,20 +24,6 @@ transformUniformScalar(const double *units, std::size_t stride,
 {
     for (std::size_t s = 0; s < n; ++s)
         out[s] = tr.a + tr.ba * units[s * stride];
-}
-
-void
-transformTriangularScalar(const double *units, std::size_t stride,
-                          std::size_t n, const TriangularTransform &tr,
-                          double *out)
-{
-    for (std::size_t s = 0; s < n; ++s) {
-        const double u = units[s * stride];
-        if (u < tr.pivot)
-            out[s] = tr.a + std::sqrt(u * tr.ba * tr.ca);
-        else
-            out[s] = tr.b - std::sqrt((1.0 - u) * tr.ba * tr.bc);
-    }
 }
 
 void
@@ -176,95 +145,13 @@ allWithinScalar(const double *p, std::size_t n, double lo, double hi,
     return true;
 }
 
-/** A 64x64 matrix over GF(2): col[j] is the image of basis bit j. */
-struct BitMatrix
-{
-    std::uint64_t col[64];
-};
-
-/** y = M x over GF(2): XOR of the columns selected by x's bits. */
-inline std::uint64_t
-bitMatVec(const BitMatrix &m, std::uint64_t x)
-{
-    std::uint64_t y = 0;
-    for (int j = 0; j < 64; ++j)
-        y ^= m.col[j] & (0 - ((x >> j) & 1));
-    return y;
-}
-
-/** C = A B over GF(2). */
-inline BitMatrix
-bitMatMul(const BitMatrix &a, const BitMatrix &b)
-{
-    BitMatrix c;
-    for (int j = 0; j < 64; ++j)
-        c.col[j] = bitMatVec(a, b.col[j]);
-    return c;
-}
-
-/** A^steps where A is the xorshift64* state-update matrix. */
-BitMatrix
-xorshiftMatrixPower(std::uint64_t steps)
-{
-    BitMatrix result;
-    BitMatrix base;
-    for (int j = 0; j < 64; ++j) {
-        // Identity, and the update applied to each basis vector. The
-        // update is linear: XORs of shifts, no arithmetic carries.
-        result.col[j] = std::uint64_t{1} << j;
-        std::uint64_t x = std::uint64_t{1} << j;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        base.col[j] = x;
-    }
-    while (steps != 0) {
-        if (steps & 1)
-            result = bitMatMul(base, result);
-        base = bitMatMul(base, base);
-        steps >>= 1;
-    }
-    return result;
-}
-
 } // namespace
-
-std::uint64_t
-xorshiftJump(std::uint64_t state, std::uint64_t steps)
-{
-    // The fill kernels jump by the same distance (the segment length)
-    // once per lane per call, and chunk sizes repeat across a sweep,
-    // so a tiny per-thread cache turns the matrix power into a one-off
-    // per distance. Round-robin replacement; 0 marks an empty slot
-    // (jumping by 0 steps never reaches the cache).
-    if (steps == 0)
-        return state;
-    struct CacheEntry
-    {
-        std::uint64_t steps = 0;
-        BitMatrix matrix;
-    };
-    constexpr std::size_t kCacheSize = 4;
-    thread_local CacheEntry cache[kCacheSize];
-    thread_local std::size_t next_slot = 0;
-    for (const CacheEntry &entry : cache) {
-        if (entry.steps == steps)
-            return bitMatVec(entry.matrix, state);
-    }
-    CacheEntry &slot = cache[next_slot];
-    next_slot = (next_slot + 1) % kCacheSize;
-    slot.steps = steps;
-    slot.matrix = xorshiftMatrixPower(steps);
-    return bitMatVec(slot.matrix, state);
-}
 
 const KernelTable &
 scalarKernels()
 {
     static const KernelTable table = {
-        &fillUnitsScalar,
         &transformUniformScalar,
-        &transformTriangularScalar,
         &evalRatioScalar,
         &allWithinScalar,
         &jobUnitsScalar,

@@ -26,17 +26,18 @@ expect_fatal() {
     fi
 }
 
-# expect_fatal_naming <name> <path> <command...>: as expect_fatal, and
-# stderr holds exactly one "fatal:" line, which names <path>.
+# expect_fatal_naming <name> <text> <command...>: as expect_fatal, and
+# stderr holds exactly one "fatal:" line, which names <text> (a path,
+# or the reason the input was refused).
 expect_fatal_naming() {
     name=$1
-    path=$2
+    text=$2
     shift 2
     "$@" > "$work/stdout" 2> "$work/stderr"
     rc=$?
     fatal_lines=$(grep -c '^fatal: ' "$work/stderr")
     if [ "$rc" -eq 1 ] && [ "$fatal_lines" -eq 1 ] &&
-        grep '^fatal: ' "$work/stderr" | grep -qF "$path" &&
+        grep '^fatal: ' "$work/stderr" | grep -qF "$text" &&
         ! grep -q 'terminate called' "$work/stderr"; then
         echo "ok   $name: $(grep '^fatal: ' "$work/stderr")"
     else
@@ -162,6 +163,100 @@ fi
 # fatal naming the path.
 expect_fatal_naming "merge --out of a multi-flush document to a full device" \
     /dev/full "$act" merge "$work/big.json" --out /dev/full
+
+# Counts and integer fields are read as integers: a negative, a
+# fractional or an out-of-range number is refused, never cast.
+cat > "$work/fleet_plan.json" <<'EOF'
+{
+  "domain": "fleet",
+  "items": 20000,
+  "seed": 42,
+  "config": {
+    "policies": ["uniform", "greedy"],
+    "regions": [{"name": "tw", "profile": "solar", "region": "Taiwan",
+                 "days": 7}],
+    "jobs": {"horizon_hours": 168}
+  }
+}
+EOF
+cat > "$work/chiplet_plan.json" <<'EOF'
+{"domain": "chiplet", "seed": 42,
+ "config": {"logic_area_mm2": 800, "node_nm": 7, "max_chiplets": 4}}
+EOF
+cat > "$work/accel_plan.json" <<'EOF'
+{"domain": "accel", "seed": 42, "config": {"nodes": [28, 7]}}
+EOF
+cat > "$work/device.json" <<'EOF'
+{"name": "phone", "release_year": 2024,
+ "ics": [{"name": "SoC", "kind": "logic", "area_mm2": 100,
+          "node_nm": 7, "packages": 1}]}
+EOF
+for i in 0 1; do
+    if ! "$act" sweep --plan "$work/fleet_plan.json" --shards 2 \
+        --shard-index $i --out "$work/fleet$i.json" > /dev/null; then
+        echo "FAIL setup: cannot write fleet partial $i"
+        exit 1
+    fi
+done
+for plan in chiplet accel; do
+    if ! "$act" sweep --plan "$work/${plan}_plan.json" --shards 1 \
+        --shard-index 0 --out "$work/$plan.json" > /dev/null; then
+        echo "FAIL setup: cannot write the $plan partial"
+        exit 1
+    fi
+done
+
+# set_first <file> <key> <value> <out>: <file> with the first integer
+# value of <key> replaced by <value>.
+set_first() {
+    sed "0,/\"$2\": [0-9][0-9]*/s//\"$2\": $3/" "$1" > "$4"
+}
+
+# reason <value>: the refusal the reader gives for <value>.
+reason() {
+    case $1 in
+        -*) echo "is negative" ;;
+        1e300) echo "out of integer range" ;;
+        *) echo "not integral" ;;
+    esac
+}
+
+for value in -1 1.5 1e300; do
+    for key in jobs deferred migrated; do
+        set_first "$work/fleet0.json" "$key" "$value" "$work/bad_fleet.json"
+        expect_fatal_naming "fleet merge with $key $value" \
+            "field '$key'" \
+            "$act" merge "$work/bad_fleet.json" "$work/fleet1.json"
+        if ! grep -qF "$(reason "$value")" "$work/stderr"; then
+            echo "FAIL fleet merge with $key $value: not '$(reason "$value")'"
+            failures=$((failures + 1))
+        fi
+    done
+done
+
+for value in 1e300 2.5; do
+    set_first "$work/chiplet_plan.json" max_chiplets "$value" \
+        "$work/bad_plan.json"
+    expect_fatal_naming "chiplet plan with max_chiplets $value" \
+        "$(reason "$value")" "$act" sweep --plan "$work/bad_plan.json"
+    for key in packages release_year; do
+        set_first "$work/device.json" "$key" "$value" \
+            "$work/bad_device.json"
+        expect_fatal_naming "device file with $key $value" \
+            "$(reason "$value")" \
+            "$act" device-file "$work/bad_device.json"
+    done
+    set_first "$work/chiplet.json" num_dies "$value" \
+        "$work/bad_chiplet.json"
+    expect_fatal_naming "chiplet merge with num_dies $value" \
+        "$(reason "$value")" "$act" merge "$work/bad_chiplet.json"
+    set_first "$work/accel.json" macs "$value" "$work/bad_accel.json"
+    expect_fatal_naming "accel merge with macs $value" \
+        "$(reason "$value")" "$act" merge "$work/bad_accel.json"
+done
+set_first "$work/chiplet_plan.json" max_chiplets 3e9 "$work/bad_plan.json"
+expect_fatal_naming "chiplet plan with max_chiplets 3e9" \
+    "got 3000000000" "$act" sweep --plan "$work/bad_plan.json"
 
 if [ "$failures" -ne 0 ]; then
     echo "$failures case(s) failed"

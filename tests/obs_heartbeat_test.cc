@@ -111,7 +111,9 @@ TEST_F(HeartbeatTest, WriterGatesOnIntervalAndForcedWritesLand)
         config::loadJsonFile(file));
     EXPECT_EQ(read.items_done, 4096u);
 
-    // Gated: this update must not reach the file.
+    // Gated: this update must not reach the file, and due() says so
+    // before the caller builds it.
+    EXPECT_FALSE(writer.due());
     heartbeat.items_done = 9999;
     writer.beat(heartbeat);
     read = obs::heartbeatFromJson(config::loadJsonFile(file));
@@ -126,6 +128,9 @@ TEST_F(HeartbeatTest, WriterGatesOnIntervalAndForcedWritesLand)
 
     // The temp file never survives a completed write.
     EXPECT_FALSE(std::filesystem::exists(file + ".tmp"));
+
+    // A zero interval is always due.
+    EXPECT_TRUE(obs::HeartbeatWriter(file, 0.0).due());
 }
 
 TEST_F(HeartbeatTest, DirectoryScanSortsAndSkipsGarbage)

@@ -4,12 +4,11 @@
  * under test is bit-identity (DESIGN.md §11): every vector kernel
  * must reproduce the scalar reference kernel's outputs exactly --
  * EXPECT_EQ on doubles throughout, no tolerances -- for every length,
- * including the ragged tails, and the multi-lane RNG must emit the
- * scalar generator's sequence in the scalar order.
+ * including the ragged tails, and the multi-stream job draws must
+ * emit each scalar generator's sequence in the scalar order.
  */
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -34,12 +33,21 @@ availableLevels()
     return levels;
 }
 
-/** Lengths that exercise empty, sub-vector, tail, and segment-split
- *  paths of the 4-lane tier. */
+/** Lengths that exercise empty, sub-vector, and tail paths of the
+ *  4-lane tier. */
 const std::size_t kLengths[] = {0,  1,   2,   3,   4,    5,    7,
                                 8,  15,  16,  17,  63,   64,   65,
                                 96, 127, 128, 129, 255,  256,  257,
                                 511, 1000, 4096, 6143};
+
+/** Fill @p dst with @p n Xorshift64Star(seed).nextUnit() values. */
+void
+fillUnits(std::uint64_t seed, double *dst, std::size_t n)
+{
+    Xorshift64Star rng(seed);
+    for (std::size_t i = 0; i < n; ++i)
+        dst[i] = rng.nextUnit();
+}
 
 TEST(SimdLevelTest, NamesRoundTrip)
 {
@@ -75,88 +83,9 @@ TEST(SimdKernelsTest, TableForEveryAvailableLevel)
 {
     for (SimdLevel level : availableLevels()) {
         const KernelTable &table = kernels(level);
-        EXPECT_NE(table.fill_units, nullptr);
         EXPECT_NE(table.transform_uniform, nullptr);
-        EXPECT_NE(table.transform_triangular, nullptr);
         EXPECT_NE(table.eval_ratio, nullptr);
         EXPECT_NE(table.all_within, nullptr);
-    }
-}
-
-TEST(SimdKernelsTest, FillUnitsEmitsExactScalarSequence)
-{
-    const std::uint64_t seeds[] = {1, 42, 7, 0xDEADBEEFULL,
-                                   ~std::uint64_t{0}};
-    for (SimdLevel level : availableLevels()) {
-        const KernelTable &table = kernels(level);
-        for (std::uint64_t seed : seeds) {
-            for (std::size_t n : kLengths) {
-                Xorshift64Star reference(seed);
-                std::vector<double> expected(n);
-                for (std::size_t i = 0; i < n; ++i)
-                    expected[i] = reference.nextUnit();
-
-                std::vector<double> actual(n);
-                const std::uint64_t end_state = table.fill_units(
-                    Xorshift64Star(seed).state(), actual.data(), n);
-                for (std::size_t i = 0; i < n; ++i) {
-                    ASSERT_EQ(actual[i], expected[i])
-                        << simdLevelName(level) << " seed " << seed
-                        << " n " << n << " index " << i;
-                }
-                // The returned state must continue the scalar stream.
-                EXPECT_EQ(end_state, reference.state())
-                    << simdLevelName(level) << " seed " << seed
-                    << " n " << n;
-            }
-        }
-    }
-}
-
-TEST(SimdKernelsTest, FillUnitsSplitsAreSeamless)
-{
-    // Filling 1000 values in ragged pieces must equal one shot: the
-    // state handoff between calls is exact at every cut point.
-    constexpr std::size_t kTotal = 1000;
-    for (SimdLevel level : availableLevels()) {
-        const KernelTable &table = kernels(level);
-        std::vector<double> whole(kTotal);
-        table.fill_units(Xorshift64Star(99).state(), whole.data(),
-                         kTotal);
-        for (std::size_t cut : {std::size_t{1}, std::size_t{7},
-                                std::size_t{128}, std::size_t{513}}) {
-            std::vector<double> pieces(kTotal);
-            std::uint64_t state = Xorshift64Star(99).state();
-            state = table.fill_units(state, pieces.data(), cut);
-            table.fill_units(state, pieces.data() + cut,
-                             kTotal - cut);
-            for (std::size_t i = 0; i < kTotal; ++i) {
-                ASSERT_EQ(pieces[i], whole[i])
-                    << simdLevelName(level) << " cut " << cut
-                    << " index " << i;
-            }
-        }
-    }
-}
-
-TEST(SimdKernelsTest, XorshiftJumpMatchesStepping)
-{
-    const std::uint64_t jumps[] = {0, 1, 2, 3, 63, 64, 65,
-                                   384, 1536, 100'000};
-    for (std::uint64_t steps : jumps) {
-        std::uint64_t expected = Xorshift64Star(1234).state();
-        for (std::uint64_t i = 0; i < steps; ++i) {
-            expected ^= expected >> 12;
-            expected ^= expected << 25;
-            expected ^= expected >> 27;
-        }
-        // Twice: the second call exercises the per-thread cache hit.
-        EXPECT_EQ(xorshiftJump(Xorshift64Star(1234).state(), steps),
-                  expected)
-            << steps;
-        EXPECT_EQ(xorshiftJump(Xorshift64Star(1234).state(), steps),
-                  expected)
-            << steps;
     }
 }
 
@@ -166,13 +95,6 @@ TEST(SimdKernelsTest, TransformsMatchScalarReferenceBitwise)
     UniformTransform uniform;
     uniform.a = 365.0;
     uniform.ba = 335.0;
-    TriangularTransform triangular;
-    triangular.a = 0.8;
-    triangular.b = 0.95;
-    triangular.ba = 0.95 - 0.8;
-    triangular.ca = 0.875 - 0.8;
-    triangular.bc = 0.95 - 0.875;
-    triangular.pivot = (0.875 - 0.8) / (0.95 - 0.8);
 
     for (SimdLevel level : availableLevels()) {
         const KernelTable &table = kernels(level);
@@ -180,8 +102,7 @@ TEST(SimdKernelsTest, TransformsMatchScalarReferenceBitwise)
                                    std::size_t{7}}) {
             for (std::size_t n : kLengths) {
                 std::vector<double> units(n * stride + 1);
-                scalar.fill_units(Xorshift64Star(5).state(),
-                                  units.data(), units.size());
+                fillUnits(5, units.data(), units.size());
 
                 std::vector<double> expected(n), actual(n);
                 scalar.transform_uniform(units.data(), stride, n,
@@ -191,18 +112,6 @@ TEST(SimdKernelsTest, TransformsMatchScalarReferenceBitwise)
                 for (std::size_t i = 0; i < n; ++i) {
                     ASSERT_EQ(actual[i], expected[i])
                         << "uniform " << simdLevelName(level)
-                        << " stride " << stride << " n " << n
-                        << " index " << i;
-                }
-
-                scalar.transform_triangular(units.data(), stride, n,
-                                            triangular,
-                                            expected.data());
-                table.transform_triangular(units.data(), stride, n,
-                                           triangular, actual.data());
-                for (std::size_t i = 0; i < n; ++i) {
-                    ASSERT_EQ(actual[i], expected[i])
-                        << "triangular " << simdLevelName(level)
                         << " stride " << stride << " n " << n
                         << " index " << i;
                 }
@@ -234,11 +143,9 @@ TEST(SimdKernelsTest, EvalRatioMatchesScalarReferenceBitwise)
 {
     for (std::size_t n : kLengths) {
         std::vector<double> ci(n), yield(n), abatement(n);
-        const KernelTable &scalar = scalarKernels();
-        std::uint64_t state = Xorshift64Star(11).state();
-        state = scalar.fill_units(state, ci.data(), n);
-        state = scalar.fill_units(state, yield.data(), n);
-        scalar.fill_units(state, abatement.data(), n);
+        fillUnits(11, ci.data(), n);
+        fillUnits(12, yield.data(), n);
+        fillUnits(13, abatement.data(), n);
         for (std::size_t i = 0; i < n; ++i) {
             ci[i] = 365.0 + 335.0 * ci[i];
             yield[i] = 0.8 + 0.15 * yield[i];
@@ -331,7 +238,7 @@ TEST(SimdKernelsTest, JobUnitsEmitsEachStatesScalarSequence)
                  {std::size_t{1}, std::size_t{6}}) {
                 std::vector<std::uint64_t> states(jobs);
                 for (std::size_t j = 0; j < jobs; ++j)
-                    states[j] = Xorshift64Star(1000 + j).state();
+                    states[j] = (1000 + j) | 1;
 
                 std::vector<double> out(draws * jobs);
                 table.job_units(states.data(), jobs, draws,
@@ -361,8 +268,7 @@ TEST(SimdKernelsTest, PowerGridKwMatchesScalarReferenceBitwise)
         const KernelTable &table = kernels(level);
         for (std::size_t n : kLengths) {
             std::vector<double> u(n);
-            scalar.fill_units(Xorshift64Star(31).state(), u.data(),
-                              n);
+            fillUnits(31, u.data(), n);
             std::vector<double> expected(n), actual(n);
             scalar.power_grid_kw(u.data(), n, tr, expected.data());
             table.power_grid_kw(u.data(), n, tr, actual.data());
@@ -383,8 +289,7 @@ TEST(SimdKernelsTest, WindowCostsMatchScalarReferenceBitwise)
     constexpr std::size_t kSamples = 24;
     std::vector<double> grams(kSamples);
     const KernelTable &scalar = scalarKernels();
-    scalar.fill_units(Xorshift64Star(67).state(), grams.data(),
-                      kSamples);
+    fillUnits(67, grams.data(), kSamples);
     for (double &g : grams)
         g = 100.0 + 500.0 * g;
     std::vector<double> prefix(kSamples + 1, 0.0);
@@ -444,8 +349,7 @@ TEST(SimdKernelsTest, ArgminFirstReturnsEarliestMinimum)
             if (n == 0)
                 continue;
             std::vector<double> values(n);
-            scalar.fill_units(Xorshift64Star(123).state(),
-                              values.data(), n);
+            fillUnits(123, values.data(), n);
             EXPECT_EQ(table.argmin_first(values.data(), n),
                       scalar.argmin_first(values.data(), n))
                 << simdLevelName(level) << " n " << n;
@@ -466,58 +370,6 @@ TEST(SimdKernelsTest, ArgminFirstReturnsEarliestMinimum)
             }
         }
     }
-}
-
-TEST(XorshiftLanesTest, EmitsScalarSequenceAndHandsBackState)
-{
-    for (SimdLevel level : availableLevels()) {
-        const SimdLevel restore = setSimdLevel(level);
-        for (std::size_t n : {std::size_t{17}, std::size_t{300},
-                              std::size_t{1536}}) {
-            Xorshift64Star reference(2024);
-            std::vector<double> expected(n);
-            for (std::size_t i = 0; i < n; ++i)
-                expected[i] = reference.nextUnit();
-
-            Xorshift64Star rng(2024);
-            XorshiftLanes lanes(rng);
-            std::vector<double> actual(n);
-            // Two ragged calls to exercise the internal state carry.
-            lanes.fillUnits(actual.data(), n / 3);
-            lanes.fillUnits(actual.data() + n / 3, n - n / 3);
-            for (std::size_t i = 0; i < n; ++i)
-                ASSERT_EQ(actual[i], expected[i]) << i;
-
-            // The handed-back generator continues the scalar stream.
-            Xorshift64Star resumed = lanes.scalar();
-            for (int i = 0; i < 16; ++i)
-                EXPECT_EQ(resumed.nextUnit(), reference.nextUnit());
-        }
-        setSimdLevel(restore);
-    }
-}
-
-TEST(XorshiftLanesTest, ZeroSeedAndZeroStateAreRemapped)
-{
-    // Zero is the xorshift fixed point; both entry points must remap
-    // it to 1 rather than emit zeros forever.
-    Xorshift64Star from_zero(0);
-    Xorshift64Star from_one(1);
-    for (int i = 0; i < 32; ++i)
-        EXPECT_EQ(from_zero.next(), from_one.next());
-
-    Xorshift64Star rebuilt = Xorshift64Star::fromState(0);
-    EXPECT_EQ(rebuilt.state(), 1u);
-    Xorshift64Star fresh(1);
-    for (int i = 0; i < 32; ++i)
-        EXPECT_EQ(rebuilt.next(), fresh.next());
-
-    // Round trip through state() is exact for nonzero states.
-    Xorshift64Star original(77);
-    original.nextUnit();
-    Xorshift64Star copy = Xorshift64Star::fromState(original.state());
-    for (int i = 0; i < 32; ++i)
-        EXPECT_EQ(copy.next(), original.next());
 }
 
 } // namespace

@@ -17,11 +17,17 @@ default) prints a "baseline stale -- refresh" notice. That still exits
 --update-baseline, which rewrites the baseline file from the results
 file so future comparisons measure against the new floor.
 
+Repeated entries of one benchmark (--benchmark_repetitions=N writes
+one entry per repetition) count as their median, in the comparison
+and in --update-baseline alike, so one outlier repetition -- of the
+calibration kernel above all -- cannot flip the verdict.
+
 Exit status: 0 = within tolerance, 1 = regression, 2 = bad input.
 """
 
 import argparse
 import json
+import statistics
 import sys
 
 DEFAULT_CALIBRATE = "BM_CarbonPerArea"
@@ -37,16 +43,18 @@ def load_document(path):
 
 
 def load_times(document, path):
-    """Map benchmark name -> CPU ns/iteration from a results document."""
-    times = {}
+    """Map benchmark name -> median CPU ns/iteration over its entries
+    in a results document."""
+    samples = {}
     for entry in document.get("benchmarks", []):
         name = entry.get("name")
         cpu = entry.get("cpu_time_ns")
         if isinstance(name, str) and isinstance(cpu, (int, float)):
-            times[name] = float(cpu)
-    if not times:
+            samples.setdefault(name, []).append(float(cpu))
+    if not samples:
         raise SystemExit(f"error: no benchmark entries in {path}")
-    return times
+    return {name: statistics.median(values)
+            for name, values in samples.items()}
 
 
 PROVENANCE_KEYS = ("git_sha", "simd_level", "act_threads", "hostname")
@@ -81,15 +89,34 @@ def require(times, name, path):
     return times[name]
 
 
+def median_entries(entries):
+    """One entry per benchmark name: each numeric field is the median
+    of that name's repeated entries."""
+    grouped = {}
+    for entry in entries:
+        grouped.setdefault(entry["name"], []).append(entry)
+    merged = []
+    for name in sorted(grouped):
+        group = grouped[name]
+        entry = dict(group[0])
+        for key in entry:
+            values = [other.get(key) for other in group]
+            if all(isinstance(v, (int, float)) and
+                   not isinstance(v, bool) for v in values):
+                entry[key] = statistics.median(values)
+        merged.append(entry)
+    return merged
+
+
 def update_baseline(baseline_path, results_path):
     """Rewrite the baseline file from a fresh results file."""
     document = load_document(results_path)
-    entries = [entry for entry in document.get("benchmarks", [])
-               if isinstance(entry.get("name"), str)]
+    entries = median_entries(
+        [entry for entry in document.get("benchmarks", [])
+         if isinstance(entry.get("name"), str)])
     if not entries:
         raise SystemExit(
             f"error: no benchmark entries in {results_path}")
-    entries.sort(key=lambda entry: entry["name"])
     baseline = {"benchmarks": entries}
     if isinstance(document.get("provenance"), dict):
         baseline["provenance"] = document["provenance"]
